@@ -246,8 +246,8 @@ inline GateResult check_bench(const GateBaseline& baseline,
     finding.fresh = value;
     finding.verdict = GateVerdict::MissingBaseline;
     // A fresh-only wall-clock phase (Upper direction) is a new timing
-    // breakdown the baseline predates — e.g. slrh.sweep_parallel_seconds
-    // appearing in dumps gated against a pre-accelerator baseline. It is
+    // breakdown the baseline predates — e.g. a newly timed layer appearing
+    // in dumps gated against an older baseline. It is
     // reported for visibility but cannot hide a regression (the phase rolls
     // up into a gated *_run_seconds total), so it does not fail the gate.
     // Fresh-only TwoSided metrics still count: a new correctness counter

@@ -24,6 +24,7 @@
 #include "support/rng.hpp"
 #include "support/task_ledger.hpp"
 #include "support/thread_pool.hpp"
+#include "tests/oracles/slrh_reference.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -154,13 +155,14 @@ void BM_PoolAdmissionScan(benchmark::State& state) {
 }
 BENCHMARK(BM_PoolAdmissionScan)->Arg(256)->Arg(1024);
 
-// --- pool construction: scan vs frontier ----------------------------------
+// --- pool construction: scan oracle vs batched frontier -------------------
 //
-// Same pool, two constructions. The scan walks all |T| subtasks re-deriving
-// admission energies; the frontier walks only the ready set (for a fresh
-// schedule: the DAG roots) against the precomputed tables. Both are measured
-// from the state drive_slrh sees at clock 0 on machine 0, so the ratio is
-// the per-pool-build speedup of the fast path.
+// Same pool, two constructions. The scan (the test oracle) walks all |T|
+// subtasks re-deriving admission energies; the engine's batched build walks
+// only the ready set (for a fresh schedule: the DAG roots) against the
+// precomputed tables. Both are measured from the state drive_slrh sees at
+// clock 0 on machine 0, so the ratio is the per-pool-build speedup of the
+// engine path.
 
 void BM_BuildPool_Scan(benchmark::State& state) {
   const auto scenario = bench_scenario(static_cast<std::size_t>(state.range(0)));
@@ -169,7 +171,7 @@ void BM_BuildPool_Scan(benchmark::State& state) {
   params.weights = core::Weights::make(0.6, 0.3);
   const auto totals = core::objective_totals(scenario);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_slrh_pool_scan(
+    benchmark::DoNotOptimize(oracle::build_slrh_pool_scan(
         scenario, schedule, params, totals, /*machine=*/0, /*clock=*/0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -177,7 +179,7 @@ void BM_BuildPool_Scan(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildPool_Scan)->Arg(256)->Arg(1024);
 
-void BM_BuildPool_Frontier(benchmark::State& state) {
+void BM_BuildPool_Batched(benchmark::State& state) {
   const auto scenario = bench_scenario(static_cast<std::size_t>(state.range(0)));
   sim::Schedule schedule(scenario.grid, scenario.num_tasks());
   core::SlrhParams params;
@@ -186,15 +188,16 @@ void BM_BuildPool_Frontier(benchmark::State& state) {
   const core::ScenarioCache cache(scenario);
   core::ReadyFrontier frontier(scenario, schedule);
   frontier.advance_to(0);
+  core::CandidateBatch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_slrh_pool_frontier(
+    benchmark::DoNotOptimize(core::build_slrh_pool_batched(
         scenario, cache, frontier, schedule, params, totals, /*machine=*/0,
-        /*clock=*/0));
+        /*clock=*/0, nullptr, nullptr, &scratch));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_BuildPool_Frontier)->Arg(256)->Arg(1024);
+BENCHMARK(BM_BuildPool_Batched)->Arg(256)->Arg(1024);
 
 // --- admission energy: derived vs table lookup ----------------------------
 //
@@ -235,9 +238,9 @@ BENCHMARK(BM_EnergyNeed_Cached);
 // task against one machine, excluding the pool sort (identical on both
 // sides) so the ratio is gather+score work alone. Independent tasks make the
 // whole task set ready at clock 0 — the |T|=100k regime's pool shape. The
-// scalar side replicates build_slrh_pool_frontier's admission + two
-// score_candidate chains per task; the batched side is build_candidate_batch
-// + score_batch over the same ready span.
+// scalar side is the per-candidate build the batch kernel replaced
+// (admission + two cached score_candidate chains per task); the batched side
+// is build_candidate_batch + score_batch over the same ready span.
 
 workload::Scenario all_ready_scenario(std::size_t num_tasks) {
   auto grid = sim::GridConfig::make(4, 4);
@@ -366,28 +369,25 @@ void BM_PlanPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanPlacement);
 
-// --- machine sweep: serial vs speculative-parallel vs cross-tick reuse ----
+// --- machine sweep: rebuild every scope vs cross-tick reuse ---------------
 //
-// Whole-run V3 comparison of the sweep accelerator's two mechanisms, each
-// isolated: Serial turns both off (the pre-accelerator path and the
-// determinism oracle), Parallel enables only the speculative fan-out over
-// the global pool, Reuse enables only the cross-tick skip verdicts. V3 is
+// Whole-run V3 comparison of pool reuse: Serial rebuilds every (machine,
+// tick) scope's pool, Reuse skips scopes a cached verdict proves idle. V3 is
 // the sweep-bound variant (it rebuilds the pool after every commit), so the
-// ratios here are the per-mechanism shares of the end-to-end speedup
-// bench_scale measures. Run with --jobs N to size the fan-out.
+// ratio here is the reuse share of the end-to-end speedup bench_scale
+// measures.
 
-core::SlrhParams sweep_bench_params(bool reuse, bool parallel) {
+core::SlrhParams sweep_bench_params(bool reuse) {
   core::SlrhParams params;
   params.variant = core::SlrhVariant::V3;
   params.weights = core::Weights::make(0.7, 0.25);
   params.pool_reuse = reuse;
-  params.sweep_parallel = parallel;
   return params;
 }
 
 void BM_Sweep_Serial(benchmark::State& state) {
   const auto scenario = bench_scenario(static_cast<std::size_t>(state.range(0)));
-  const auto params = sweep_bench_params(false, false);
+  const auto params = sweep_bench_params(false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::run_slrh(scenario, params));
   }
@@ -396,21 +396,9 @@ void BM_Sweep_Serial(benchmark::State& state) {
 }
 BENCHMARK(BM_Sweep_Serial)->Arg(1024)->Unit(benchmark::kMillisecond);
 
-void BM_Sweep_Parallel(benchmark::State& state) {
-  const auto scenario = bench_scenario(static_cast<std::size_t>(state.range(0)));
-  const auto params = sweep_bench_params(false, true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::run_slrh(scenario, params));
-  }
-  state.SetLabel("jobs=" + std::to_string(global_pool_jobs()));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sweep_Parallel)->Arg(1024)->Unit(benchmark::kMillisecond);
-
 void BM_Sweep_Reuse(benchmark::State& state) {
   const auto scenario = bench_scenario(static_cast<std::size_t>(state.range(0)));
-  const auto params = sweep_bench_params(true, false);
+  const auto params = sweep_bench_params(true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::run_slrh(scenario, params));
   }
@@ -441,11 +429,12 @@ void BM_SlrhInnerLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_SlrhInnerLoop)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// End-to-end before/after record for the fast path: run each SLRH variant
-// over the same scenario with legacy_scan (the original scan-everything
-// execution) and with the default cache + frontier + memo path, and dump the
-// wall times as BENCH_inner_loop.json. Counters record that the schedules
-// agree (t100/aet match — the bit-identity contract, asserted properly by
+// End-to-end before/after record for the engine: run each SLRH variant over
+// the same scenario with the reference driver (tests/oracles: the original
+// scan-everything execution, timed under the "<variant>_legacy" section the
+// gate baseline names) and with the engine, and dump the wall times as
+// BENCH_inner_loop.json. Counters record that the schedules agree
+// (t100/aet/tec match — the bit-identity contract, asserted properly by
 // tests/test_determinism.cpp).
 void write_inner_loop_report() {
   bench::BenchReport report("inner_loop");
@@ -457,23 +446,22 @@ void write_inner_loop_report() {
     params.weights = core::Weights::make(0.7, 0.25);
     const std::string name = core::to_string(variant);
 
-    params.legacy_scan = true;
-    const auto legacy = report.timed_section(
-        name + "_legacy", [&] { return core::run_slrh(scenario, params); });
+    const auto reference = report.timed_section(name + "_legacy", [&] {
+      return oracle::run_slrh_reference(scenario, params);
+    });
 
-    params.legacy_scan = false;
     const auto fast = report.timed_section(
         name + "_fast", [&] { return core::run_slrh(scenario, params); });
 
     report.metrics()
         .counter("bench." + name + "_schedules_identical")
-        .add(legacy.t100 == fast.t100 && legacy.aet == fast.aet &&
-                     legacy.tec == fast.tec
+        .add(reference.t100 == fast.t100 && reference.aet == fast.aet &&
+                     reference.tec == fast.tec
                  ? 1
                  : 0);
-    std::cout << name << ": legacy " << legacy.wall_seconds << " s, fast "
+    std::cout << name << ": reference " << reference.wall_seconds << " s, engine "
               << fast.wall_seconds << " s ("
-              << (fast.wall_seconds > 0.0 ? legacy.wall_seconds / fast.wall_seconds
+              << (fast.wall_seconds > 0.0 ? reference.wall_seconds / fast.wall_seconds
                                           : 0.0)
               << "x)\n";
   }
@@ -567,19 +555,14 @@ void write_inner_loop_report() {
               << index_seconds << " s (" << speedup << "x)\n";
   }
 
-  // Sweep-accelerator record at the smoke shape, gated per push: the V3
-  // sweep with both mechanisms off (serial oracle), speculation only, and
-  // reuse only. Min-of-N whole runs; the reuse speedup gauge is the
-  // mechanism the 1-core gate can actually watch (the parallel gauge is
-  // recorded for the curve but its value is host-core-dependent, so only
-  // its presence — not a ratio bound — is gated).
+  // Pool-reuse record at the smoke shape, gated per push: the V3 sweep
+  // rebuilding every scope vs with cross-tick reuse. Min-of-N whole runs;
+  // the reuse speedup gauge is the ratio the gate watches.
   {
     constexpr int kReps = 5;
-    const auto params_serial = sweep_bench_params(false, false);
-    const auto params_parallel = sweep_bench_params(false, true);
-    const auto params_reuse = sweep_bench_params(true, false);
+    const auto params_serial = sweep_bench_params(false);
+    const auto params_reuse = sweep_bench_params(true);
     double serial_seconds = 0.0;
-    double parallel_seconds = 0.0;
     double reuse_seconds = 0.0;
     bool identical = true;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -589,25 +572,16 @@ void write_inner_loop_report() {
       serial_seconds =
           rep == 0 ? serial_elapsed : std::min(serial_seconds, serial_elapsed);
 
-      const Stopwatch parallel_timer;
-      const auto parallel = core::run_slrh(scenario, params_parallel);
-      const double parallel_elapsed = parallel_timer.seconds();
-      parallel_seconds = rep == 0 ? parallel_elapsed
-                                  : std::min(parallel_seconds, parallel_elapsed);
-
       const Stopwatch reuse_timer;
       const auto reuse = core::run_slrh(scenario, params_reuse);
       const double reuse_elapsed = reuse_timer.seconds();
       reuse_seconds =
           rep == 0 ? reuse_elapsed : std::min(reuse_seconds, reuse_elapsed);
 
-      identical = identical && serial.t100 == parallel.t100 &&
-                  serial.tec == parallel.tec && serial.t100 == reuse.t100 &&
-                  serial.tec == reuse.tec && serial.aet == parallel.aet &&
-                  serial.aet == reuse.aet;
+      identical = identical && serial.t100 == reuse.t100 &&
+                  serial.tec == reuse.tec && serial.aet == reuse.aet;
     }
     report.metrics().gauge("bench.sweep_serial_seconds").set(serial_seconds);
-    report.metrics().gauge("bench.sweep_parallel_seconds").set(parallel_seconds);
     report.metrics().gauge("bench.sweep_reuse_seconds").set(reuse_seconds);
     report.metrics()
         .gauge("bench.sweep_reuse_speedup")
@@ -615,9 +589,8 @@ void write_inner_loop_report() {
     report.metrics()
         .counter("bench.sweep_schedules_identical")
         .add(identical ? 1 : 0);
-    std::cout << "sweep @1024 (V3, jobs=" << global_pool_jobs() << "): serial "
-              << serial_seconds << " s, parallel " << parallel_seconds
-              << " s, reuse " << reuse_seconds << " s ("
+    std::cout << "sweep @1024 (V3): serial " << serial_seconds << " s, reuse "
+              << reuse_seconds << " s ("
               << (reuse_seconds > 0.0 ? serial_seconds / reuse_seconds : 0.0)
               << "x reuse)\n";
   }

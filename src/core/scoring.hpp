@@ -108,8 +108,8 @@ ObjectiveTerms score_candidate_terms_with_finish(
 // objective_value's exact expression tree, with the two per-batch-constant
 // t100 terms (t100 and t100+1 over |T|) and the sign*gamma product hoisted
 // as whole subtrees (hoisting a subtree reuses its identical double). The
-// scalar path stays available behind SlrhParams::scalar_score as the diff
-// baseline.
+// scalar score_candidate stays as the diff baseline (tests/test_scoring.cpp
+// and the SLRH reference driver in tests/oracles/).
 
 /// Structure-of-arrays candidate columns for one (machine, clock) pool
 /// build. Slots hold the ready tasks that passed secondary-version admission

@@ -16,7 +16,6 @@
 #include "support/runtime_profiler.hpp"
 #include "support/stopwatch.hpp"
 #include "support/task_ledger.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ahg::core {
 
@@ -41,13 +40,11 @@ struct SlrhTelemetry {
   obs::Histogram* scoring = nullptr;         ///< scoring share of a pool build
   obs::Histogram* placement = nullptr;       ///< map_first_startable wall time
   obs::Histogram* earliest_start = nullptr;  ///< plan_placement share of placement
-  obs::Histogram* sweep_parallel = nullptr;  ///< speculative fan-out wall time/tick
   obs::Counter* pools = nullptr;
   obs::Counter* maps = nullptr;
   obs::Counter* timesteps = nullptr;
   obs::Counter* reuse_hits = nullptr;    ///< machine scopes skipped via verdicts
   obs::Counter* reuse_misses = nullptr;  ///< scopes that had to build
-  obs::Counter* spec_aborts = nullptr;   ///< speculative pools discarded
 
   bool tracing(obs::EventKind kind) const noexcept {
     return sink != nullptr && sink->wants(kind);
@@ -62,13 +59,11 @@ struct SlrhTelemetry {
       t.scoring = obs::phase_histogram(metrics, "slrh.scoring_seconds");
       t.placement = obs::phase_histogram(metrics, "slrh.placement_seconds");
       t.earliest_start = obs::phase_histogram(metrics, "slrh.earliest_start_seconds");
-      t.sweep_parallel = obs::phase_histogram(metrics, "slrh.sweep_parallel_seconds");
       t.pools = &metrics->counter("slrh.pools_built");
       t.maps = &metrics->counter("slrh.map_decisions");
       t.timesteps = &metrics->counter("slrh.timesteps");
       t.reuse_hits = &metrics->counter("slrh.pool_reuse_hits");
       t.reuse_misses = &metrics->counter("slrh.pool_reuse_misses");
-      t.spec_aborts = &metrics->counter("slrh.spec_aborts");
     }
     return t;
   }
@@ -101,17 +96,10 @@ class SubPhaseAccumulator {
   double seconds_ = 0.0;
 };
 
-/// True when the churn degrade policy has pinned this task to its secondary
-/// version. Null mask (the default everywhere outside churn recovery) makes
-/// this a constant false — no behaviour change.
-bool degraded_to_secondary(const SlrhParams& params, TaskId task) noexcept {
-  return params.secondary_only != nullptr &&
-         (*params.secondary_only)[static_cast<std::size_t>(task)] != 0;
-}
-
 /// Order the candidate pool by score descending (ties: smaller task id, for
 /// determinism). Scores are distinct per task, so the result is independent
-/// of the insertion order — scan- and frontier-built pools sort identically.
+/// of the insertion order — the frontier-built pool sorts exactly like the
+/// paper's full scan.
 void sort_pool(std::vector<SlrhPoolCandidate>& pool) {
   std::sort(pool.begin(), pool.end(),
             [](const SlrhPoolCandidate& a, const SlrhPoolCandidate& b) {
@@ -162,12 +150,12 @@ struct MapTrace {
 /// Walk the ordered pool and commit the first candidate whose exact
 /// earliest start (communication included) falls within the horizon.
 /// Returns the index into `pool` of the mapped candidate, or npos.
-/// `cache` non-null reads admission energies from the precomputed tables.
-/// `memo` non-null skips re-planning candidates already proven
-/// beyond-horizon in this (machine, clock) scope.
+/// Admission energies come from the precomputed tables; `memo` skips
+/// re-planning candidates already proven beyond-horizon in this
+/// (machine, clock) scope.
 /// `trace` non-null records the decision (telemetry path only).
 /// `committed` non-null receives a copy of the committed plan (task-ledger
-/// and sweep-accelerator paths).
+/// and pool-reuse paths).
 /// `min_beyond` non-null accumulates (running min) the arrival of every
 /// candidate this walk proved beyond the horizon — the raw material for the
 /// cross-tick skip verdicts (core/sweep.hpp). Memo-skipped candidates were
@@ -179,7 +167,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
                                 const std::vector<SlrhPoolCandidate>& pool,
                                 MachineId machine, Cycles clock,
                                 const SlrhTelemetry& telemetry,
-                                const ScenarioCache* cache, BeyondHorizonMemo* memo,
+                                const ScenarioCache& cache, BeyondHorizonMemo& memo,
                                 std::size_t skip_before = 0,
                                 MapTrace* trace = nullptr,
                                 PlacementPlan* committed = nullptr,
@@ -187,9 +175,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
   obs::ProfileScope placement_scope(telemetry.placement);
   SubPhaseAccumulator earliest_time(telemetry.earliest_start);
   const auto fits = [&](TaskId task, VersionKind version) {
-    return cache != nullptr
-               ? version_fits_energy(*cache, schedule, task, machine, version)
-               : version_fits_energy(scenario, schedule, task, machine, version);
+    return version_fits_energy(cache, schedule, task, machine, version);
   };
   for (std::size_t k = skip_before; k < pool.size(); ++k) {
     const SlrhPoolCandidate& cand = pool[k];
@@ -215,7 +201,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
         continue;
       }
     }
-    if (memo != nullptr && memo->contains(cand.task)) {
+    if (memo.contains(cand.task)) {
       // Proven beyond-horizon earlier in this (machine, clock) scope; the
       // arrival can only have moved later since. Same decision, no re-plan.
       if (trace != nullptr) {
@@ -254,7 +240,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
     if (min_beyond != nullptr && plan.arrival < *min_beyond) {
       *min_beyond = plan.arrival;
     }
-    if (memo != nullptr) memo->insert(cand.task);
+    memo.insert(cand.task);
     if (trace != nullptr) {
       trace->candidates.push_back(
           {cand.task, cand.version, cand.score, "beyond_horizon"});
@@ -264,64 +250,6 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
 }
 
 }  // namespace
-
-std::vector<SlrhPoolCandidate> build_slrh_pool_scan(
-    const workload::Scenario& scenario, const sim::Schedule& schedule,
-    const SlrhParams& params, const ObjectiveTotals& totals, MachineId machine,
-    Cycles clock, SlrhPoolRejects* rejects, obs::Histogram* scoring_histogram) {
-  SubPhaseAccumulator scoring_time(scoring_histogram);
-  std::vector<SlrhPoolCandidate> pool;
-  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-  for (TaskId task = 0; task < num_tasks; ++task) {
-    // A subtask that has not arrived yet is invisible to the dynamic
-    // heuristic (unlike the clairvoyant static baselines, which see the
-    // whole application and only respect the release as a start bound).
-    if (scenario.release(task) > clock) {
-      if (rejects != nullptr) ++rejects->unreleased;
-      continue;
-    }
-    if (rejects == nullptr) {
-      if (!slrh_pool_admissible(scenario, schedule, task, machine)) continue;
-    } else {
-      const AdmissionOutcome outcome =
-          classify_slrh_admission(scenario, schedule, task, machine);
-      if (outcome != AdmissionOutcome::Admissible) {
-        switch (outcome) {
-          case AdmissionOutcome::AlreadyAssigned: ++rejects->assigned; break;
-          case AdmissionOutcome::ParentsUnassigned: ++rejects->parents; break;
-          case AdmissionOutcome::EnergyInfeasible: ++rejects->energy; break;
-          case AdmissionOutcome::Admissible: break;
-        }
-        continue;
-      }
-    }
-
-    // The pool admission guarantees the secondary version fits; the primary
-    // version is only offered to the objective if its own worst-case energy
-    // fits too.
-    const SlrhPoolCandidate cand = scoring_time.time([&] {
-      const double secondary_score =
-          score_candidate(scenario, schedule, params.weights, totals, task, machine,
-                          VersionKind::Secondary, clock, params.aet_sign);
-      SlrhPoolCandidate c{task, VersionKind::Secondary, secondary_score};
-      if (!degraded_to_secondary(params, task) &&
-          version_fits_energy(scenario, schedule, task, machine,
-                              VersionKind::Primary)) {
-        const double primary_score =
-            score_candidate(scenario, schedule, params.weights, totals, task,
-                            machine, VersionKind::Primary, clock, params.aet_sign);
-        if (primary_score >= secondary_score) {
-          c.version = VersionKind::Primary;
-          c.score = primary_score;
-        }
-      }
-      return c;
-    });
-    pool.push_back(cand);
-  }
-  sort_pool(pool);
-  return pool;
-}
 
 std::vector<SlrhPoolCandidate> build_slrh_pool_batched(
     const workload::Scenario& scenario, const ScenarioCache& cache,
@@ -337,9 +265,8 @@ std::vector<SlrhPoolCandidate> build_slrh_pool_batched(
   }
   CandidateBatch local;
   CandidateBatch& batch = scratch != nullptr ? *scratch : local;
-  // The scoring histogram covers gather + kernel: both stages together do
-  // the work the scalar path's per-candidate scoring lambda did (the
-  // admission compare folded into the gather is noise). Telemetry only.
+  // The scoring histogram covers gather + kernel (the admission compare
+  // folded into the gather is noise). Telemetry only.
   std::vector<SlrhPoolCandidate> pool = scoring_time.time([&] {
     const std::size_t rejected_energy = build_candidate_batch(
         cache, scenario, schedule, frontier.ready(), machine, clock,
@@ -354,50 +281,6 @@ std::vector<SlrhPoolCandidate> build_slrh_pool_batched(
     }
     return out;
   });
-  sort_pool(pool);
-  return pool;
-}
-
-std::vector<SlrhPoolCandidate> build_slrh_pool_frontier(
-    const workload::Scenario& scenario, const ScenarioCache& cache,
-    const ReadyFrontier& frontier, const sim::Schedule& schedule,
-    const SlrhParams& params, const ObjectiveTotals& totals, MachineId machine,
-    Cycles clock, SlrhPoolRejects* rejects, obs::Histogram* scoring_histogram) {
-  SubPhaseAccumulator scoring_time(scoring_histogram);
-  if (rejects != nullptr) {
-    // The machine-independent tallies fall out of the frontier bookkeeping;
-    // only the per-machine energy rejections need per-task evaluation.
-    rejects->unreleased = frontier.num_unreleased();
-    rejects->assigned = frontier.num_assigned_released();
-    rejects->parents = frontier.num_parents_blocked();
-  }
-  std::vector<SlrhPoolCandidate> pool;
-  for (const TaskId task : frontier.ready()) {
-    if (!version_fits_energy(cache, schedule, task, machine,
-                             VersionKind::Secondary)) {
-      if (rejects != nullptr) ++rejects->energy;
-      continue;
-    }
-    const SlrhPoolCandidate cand = scoring_time.time([&] {
-      const double secondary_score =
-          score_candidate(cache, scenario, schedule, params.weights, totals, task,
-                          machine, VersionKind::Secondary, clock, params.aet_sign);
-      SlrhPoolCandidate c{task, VersionKind::Secondary, secondary_score};
-      if (!degraded_to_secondary(params, task) &&
-          version_fits_energy(cache, schedule, task, machine,
-                              VersionKind::Primary)) {
-        const double primary_score = score_candidate(
-            cache, scenario, schedule, params.weights, totals, task, machine,
-            VersionKind::Primary, clock, params.aet_sign);
-        if (primary_score >= secondary_score) {
-          c.version = VersionKind::Primary;
-          c.score = primary_score;
-        }
-      }
-      return c;
-    });
-    pool.push_back(cand);
-  }
   sort_pool(pool);
   return pool;
 }
@@ -446,60 +329,53 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
           : std::uint64_t{1};
   obs::Frame scratch;
 
-  // Fast-path machinery (see DESIGN.md "Incremental frontier"): precomputed
-  // pure-scenario tables, the incremental ready frontier, and the
-  // beyond-horizon memo. legacy_scan disables all three, reproducing the
-  // original scan-everything execution exactly.
+  // Engine state (see DESIGN.md "Incremental frontier"): precomputed
+  // pure-scenario tables, the incremental ready frontier, the beyond-horizon
+  // memo, and the SoA scratch for the batched score kernel — reused across
+  // every pool build of the window (allocation-free steady state).
   std::optional<ScenarioCache> local_cache;
-  const ScenarioCache* cache = nullptr;
-  std::optional<ReadyFrontier> frontier;
-  std::optional<BeyondHorizonMemo> memo_storage;
-  if (!params.legacy_scan) {
-    cache = params.cache;
-    if (cache == nullptr) {
-      local_cache.emplace(scenario);
-      cache = &*local_cache;
-    }
-    frontier.emplace(scenario, schedule);
-    if (ledger != nullptr) frontier->set_ledger(ledger);
-    memo_storage.emplace(scenario.num_tasks());
+  const ScenarioCache* cache = params.cache;
+  if (cache == nullptr) {
+    local_cache.emplace(scenario);
+    cache = &*local_cache;
   }
-  BeyondHorizonMemo* memo = memo_storage.has_value() ? &*memo_storage : nullptr;
-
-  // SoA scratch for the batched score kernel, reused across every pool build
-  // of the window (allocation-free steady state).
+  ReadyFrontier frontier(scenario, schedule);
+  if (ledger != nullptr) frontier.set_ledger(ledger);
+  BeyondHorizonMemo memo(scenario.num_tasks());
   CandidateBatch batch_scratch;
 
-  // Sweep accelerator state (core/sweep.hpp): cross-tick skip verdicts and
-  // speculative parallel pool builds. Both need the frontier as the epoch
-  // source, so legacy_scan runs without either; a fresh context per drive
+  // Cross-tick skip verdicts (core/sweep.hpp). A fresh context per drive
   // window means churn segment boundaries invalidate everything cached.
-  const bool reuse_on = frontier.has_value() && params.pool_reuse;
-  const std::size_t workers =
-      params.sweep_parallel && frontier.has_value() ? ahg::global_pool_jobs() : 0;
-  const bool spec_on = workers >= 2;
-  std::optional<SweepContext> sweep_storage;
-  if (reuse_on || spec_on) {
-    sweep_storage.emplace(
-        scenario.num_machines(),
-        spec_on ? std::min<std::size_t>(workers * 2, std::size_t{64})
-                : std::size_t{1});
-  }
-  SweepContext* sweep = sweep_storage.has_value() ? &*sweep_storage : nullptr;
-  std::vector<MachineId> spec_pending;
-  if (spec_on) spec_pending.reserve(scenario.num_machines());
-  bool spec_tick = false;         // this tick ran a speculative fan-out
-  std::uint64_t spec_serial = 0;  // commit serial at fan-out time
+  std::optional<SweepContext> sweep;
+  if (params.pool_reuse) sweep.emplace(scenario.num_machines());
   std::uint64_t step_reused = 0;
-  std::uint64_t step_aborts = 0;
-  double step_sweep_seconds = 0.0;
 
-  // Deferred per-pool side effects (ledger sweep, counters, trace event) —
-  // shared by the inline build and the speculative consume, and applied
-  // strictly on the serial walk either way.
-  const auto account_pool = [&](const std::vector<SlrhPoolCandidate>& pool,
-                                const SlrhPoolRejects& rejects, MachineId machine,
-                                Cycles clock) {
+  const auto make_pool = [&](MachineId machine, Cycles clock) {
+    SlrhPoolRejects rejects;
+    std::vector<SlrhPoolCandidate> pool;
+    const bool time_this_build = recorder != nullptr && --span_countdown == 0;
+    const double span_t0 = time_this_build ? recorder->now_seconds() : 0.0;
+    {
+      obs::ProfileScope scope(telemetry.pool_build);
+      pool = build_slrh_pool_batched(scenario, *cache, frontier, schedule, params,
+                                     totals, machine, clock,
+                                     trace_pools ? &rejects : nullptr,
+                                     telemetry.scoring, &batch_scratch);
+    }
+    if (recorder != nullptr) {
+      if (time_this_build) {
+        span_countdown = span_stride;
+        const double elapsed = recorder->now_seconds() - span_t0;
+        recorder->add_span("pool_build", span_t0, elapsed, clock, machine);
+        if (!step_timed) {
+          step_t0 = span_t0;
+          step_timed = true;
+        }
+        step_pool_seconds += elapsed;
+      }
+      ++step_pools;
+      step_last_pool = pool.size();
+    }
     if (ledger != nullptr) {
       // First sighting per task is a relaxed load + early-out, so sweeping
       // the whole pool every build stays inside the ≤1.05x overhead budget.
@@ -522,88 +398,27 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       event.rejected_energy = rejects.energy;
       params.sink->emit(event);
     }
-  };
-
-  // One pool for the serial walk: consume this tick's speculative build when
-  // it is still exact (no commit since the fan-out — commits move the global
-  // t100/tec/aet terms that feed every score), else build inline.
-  // `allow_spec` is true only for the first build of a machine scope; V3's
-  // post-commit rebuilds are always inline (their slot was already settled).
-  const auto make_pool = [&](MachineId machine, Cycles clock, bool allow_spec) {
-    if (spec_tick && allow_spec) {
-      SweepContext::SpecSlot& slot = sweep->spec(machine);
-      if (slot.valid) {
-        slot.valid = false;
-        if (sweep->commit_serial() == spec_serial) {
-          std::vector<SlrhPoolCandidate> pool = std::move(slot.pool);
-          if (recorder != nullptr) {
-            ++step_pools;
-            step_last_pool = pool.size();
-          }
-          account_pool(pool, slot.rejects, machine, clock);
-          return pool;
-        }
-        // Stale: an earlier machine committed after the fan-out. Every score
-        // in the slot read the old global terms — rebuild inline.
-        ++result.spec_aborted;
-        if (telemetry.spec_aborts != nullptr) telemetry.spec_aborts->add();
-        if (recorder != nullptr) ++step_aborts;
-      }
-    }
-    SlrhPoolRejects rejects;
-    std::vector<SlrhPoolCandidate> pool;
-    const bool time_this_build = recorder != nullptr && --span_countdown == 0;
-    const double span_t0 = time_this_build ? recorder->now_seconds() : 0.0;
-    {
-      obs::ProfileScope scope(telemetry.pool_build);
-      SlrhPoolRejects* rej = trace_pools ? &rejects : nullptr;
-      pool = !frontier.has_value()
-                 ? build_slrh_pool_scan(scenario, schedule, params, totals, machine,
-                                        clock, rej, telemetry.scoring)
-             : params.scalar_score
-                 ? build_slrh_pool_frontier(scenario, *cache, *frontier, schedule,
-                                            params, totals, machine, clock, rej,
-                                            telemetry.scoring)
-                 : build_slrh_pool_batched(scenario, *cache, *frontier, schedule,
-                                           params, totals, machine, clock, rej,
-                                           telemetry.scoring, &batch_scratch);
-    }
-    if (recorder != nullptr) {
-      if (time_this_build) {
-        span_countdown = span_stride;
-        const double elapsed = recorder->now_seconds() - span_t0;
-        recorder->add_span("pool_build", span_t0, elapsed, clock, machine);
-        if (!step_timed) {
-          step_t0 = span_t0;
-          step_timed = true;
-        }
-        step_pool_seconds += elapsed;
-      }
-      ++step_pools;
-      step_last_pool = pool.size();
-    }
-    account_pool(pool, rejects, machine, clock);
     return pool;
   };
 
   // One map attempt; emits a map event on commit, a stall event otherwise.
-  // Every commit is mirrored into the frontier (and the sweep accelerator's
-  // epochs) immediately.
+  // Every commit is mirrored into the frontier (and the reuse epochs)
+  // immediately.
   const auto try_map = [&](const std::vector<SlrhPoolCandidate>& pool,
                            MachineId machine, Cycles clock,
                            std::size_t skip_before, Cycles* min_beyond) {
     const bool tracing = trace_maps || trace_stalls;
     MapTrace trace;
     PlacementPlan committed;
-    const bool want_plan = ledger != nullptr || sweep != nullptr;
+    const bool want_plan = ledger != nullptr || sweep.has_value();
     const std::size_t mapped =
         map_first_startable(scenario, schedule, params, totals, pool, machine,
-                            clock, telemetry, cache, memo, skip_before,
+                            clock, telemetry, *cache, memo, skip_before,
                             tracing ? &trace : nullptr,
                             want_plan ? &committed : nullptr, min_beyond);
     if (mapped != npos) {
-      if (frontier.has_value()) frontier->on_commit(pool[mapped].task);
-      if (sweep != nullptr) sweep->note_commit(committed);
+      frontier.on_commit(pool[mapped].task);
+      if (sweep.has_value()) sweep->note_commit(committed);
       if (telemetry.maps != nullptr) telemetry.maps->add();
       if (recorder != nullptr) ++step_maps;
       if (ledger != nullptr) record_placement(*ledger, schedule, committed, clock);
@@ -661,15 +476,8 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     frame.maps = step_maps;
     frame.last_pool_size = step_last_pool;
     frame.pools_reused = step_reused;
-    frame.spec_aborts = step_aborts;
-    frame.sweep_seconds = step_sweep_seconds;
-    if (frontier.has_value()) {
-      frame.frontier_ready = frontier->ready().size();
-      frame.frontier_unreleased = frontier->num_unreleased();
-    } else {
-      frame.frontier_ready = 0;
-      frame.frontier_unreleased = 0;
-    }
+    frame.frontier_ready = frontier.ready().size();
+    frame.frontier_unreleased = frontier.num_unreleased();
     const sim::EnergyLedger& energy = schedule.energy();
     frame.battery_fraction.clear();
     frame.busy_until.clear();
@@ -691,75 +499,11 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     if (telemetry.timesteps != nullptr) telemetry.timesteps->add();
     if (recorder != nullptr) {
       step_pool_seconds = 0.0;
-      step_sweep_seconds = 0.0;
       step_pools = step_maps = step_last_pool = 0;
-      step_reused = step_aborts = 0;
+      step_reused = 0;
       step_timed = false;
     }
-    if (frontier.has_value()) frontier->advance_to(clock);
-
-    // Speculative fan-out: build every pending machine's pool concurrently
-    // before the serial walk. Pure const reads of the schedule / frontier /
-    // cache — every side effect (ledger, counters, events) is deferred to
-    // the consume point on the serial walk.
-    spec_tick = false;
-    if (spec_on && !schedule.complete()) {
-      spec_pending.clear();
-      for (MachineId machine = 0; machine < num_machines; ++machine) {
-        if (!scenario.machine_available(machine, clock)) continue;
-        if (schedule.machine_ready(machine) > clock) continue;
-        if (reuse_on && sweep->can_skip(machine, clock, params.horizon,
-                                        frontier->revision())) {
-          continue;
-        }
-        spec_pending.push_back(machine);
-      }
-      if (spec_pending.size() >= 2) {
-        const bool time_sweep =
-            telemetry.sweep_parallel != nullptr || recorder != nullptr;
-        const auto sweep_t0 = time_sweep ? std::chrono::steady_clock::now()
-                                         : std::chrono::steady_clock::time_point{};
-        const std::size_t n = spec_pending.size();
-        const std::size_t chunks = std::min(sweep->max_chunks(), n);
-        // Wall-clock region marker for the runtime profiler (no-op when no
-        // profiler is attached to the pool): labels the fan-out's run slices
-        // and the per-tick region window in the worker trace.
-        obs::RuntimeRegion sweep_region(ahg::global_pool().profiler(),
-                                        "sweep_fanout");
-        ahg::global_pool().parallel_for(0, chunks, [&](std::size_t c) {
-          const std::size_t lo = n * c / chunks;
-          const std::size_t hi = n * (c + 1) / chunks;
-          CandidateBatch& chunk_batch = sweep->chunk_scratch(c);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const MachineId m = spec_pending[i];
-            SweepContext::SpecSlot& slot = sweep->spec(m);
-            slot.rejects = SlrhPoolRejects{};
-            SlrhPoolRejects* rej = trace_pools ? &slot.rejects : nullptr;
-            slot.pool =
-                params.scalar_score
-                    ? build_slrh_pool_frontier(scenario, *cache, *frontier,
-                                               schedule, params, totals, m, clock,
-                                               rej, nullptr)
-                    : build_slrh_pool_batched(scenario, *cache, *frontier,
-                                              schedule, params, totals, m, clock,
-                                              rej, nullptr, &chunk_batch);
-            slot.valid = true;
-          }
-        });
-        spec_tick = true;
-        spec_serial = sweep->commit_serial();
-        if (time_sweep) {
-          const double elapsed =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            sweep_t0)
-                  .count();
-          if (telemetry.sweep_parallel != nullptr) {
-            telemetry.sweep_parallel->observe(elapsed);
-          }
-          step_sweep_seconds += elapsed;
-        }
-      }
-    }
+    frontier.advance_to(clock);
 
     for (MachineId machine = 0; machine < num_machines; ++machine) {
       if (schedule.complete()) break;
@@ -768,11 +512,10 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       // departure; it discovers one at the next timestep like any observer.
       if (!scenario.machine_available(machine, clock)) continue;
       if (schedule.machine_ready(machine) > clock) continue;  // not available
-      if (reuse_on) {
-        // O(1) cross-tick skip: the cached verdict proves the serial sweep
-        // would build this machine's pool and map nothing from it.
-        if (sweep->can_skip(machine, clock, params.horizon,
-                            frontier->revision())) {
+      if (sweep.has_value()) {
+        // O(1) cross-tick skip: the cached verdict proves this machine's
+        // pool would be built and nothing mapped from it.
+        if (sweep->can_skip(machine, clock, params.horizon, frontier.revision())) {
           ++result.pools_reused;
           if (telemetry.reuse_hits != nullptr) telemetry.reuse_hits->add();
           if (recorder != nullptr) ++step_reused;
@@ -780,27 +523,27 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         }
         if (telemetry.reuse_misses != nullptr) telemetry.reuse_misses->add();
       }
-      if (memo != nullptr) memo->begin_scope();
+      memo.begin_scope();
 
       // Scope bookkeeping for the cross-tick verdict: the smallest
       // beyond-horizon arrival proven by any walk, whether the scope
       // committed, and the epochs the LAST pool was built at (a recordable
       // verdict requires that pool to be current — see sweep.hpp).
       Cycles scope_min_arrival = SweepContext::kNoArrival;
-      Cycles* min_beyond = reuse_on ? &scope_min_arrival : nullptr;
+      Cycles* min_beyond = sweep.has_value() ? &scope_min_arrival : nullptr;
       bool scope_committed = false;
       std::uint64_t pool_revision = 0;
       std::uint64_t pool_energy_epoch = 0;
       const auto snapshot_pool_epochs = [&] {
-        if (reuse_on) {
-          pool_revision = frontier->revision();
+        if (sweep.has_value()) {
+          pool_revision = frontier.revision();
           pool_energy_epoch = sweep->energy_epoch(machine);
         }
       };
 
       switch (params.variant) {
         case SlrhVariant::V1: {
-          const auto pool = make_pool(machine, clock, true);
+          const auto pool = make_pool(machine, clock);
           snapshot_pool_epochs();
           if (pool.empty()) break;
           scope_committed = try_map(pool, machine, clock, 0, min_beyond) != npos;
@@ -809,7 +552,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         case SlrhVariant::V2: {
           // One pool per (machine, timestep); keep assigning pairs from it in
           // score order until exhausted or nothing starts within the horizon.
-          const auto pool = make_pool(machine, clock, true);
+          const auto pool = make_pool(machine, clock);
           snapshot_pool_epochs();
           std::size_t next = 0;
           while (next < pool.size()) {
@@ -823,8 +566,8 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         case SlrhVariant::V3: {
           // Rebuild and re-score the pool after every assignment; children of
           // the subtask just mapped become admissible immediately.
-          for (bool first = true;; first = false) {
-            const auto pool = make_pool(machine, clock, first);
+          for (;;) {
+            const auto pool = make_pool(machine, clock);
             snapshot_pool_epochs();
             if (pool.empty()) break;
             const std::size_t mapped = try_map(pool, machine, clock, 0, min_beyond);
@@ -839,8 +582,8 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       // commit AND whose last pool is current (no mid-scope commit after it
       // — else commit-enabled children could be missing from it). Variant 2
       // scopes that mapped anything fail the epoch compare by construction.
-      if (reuse_on && !scope_committed &&
-          pool_revision == frontier->revision() &&
+      if (sweep.has_value() && !scope_committed &&
+          pool_revision == frontier.revision() &&
           pool_energy_epoch == sweep->energy_epoch(machine)) {
         sweep->record_verdict(machine, scope_min_arrival, pool_revision);
       }

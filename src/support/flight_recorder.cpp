@@ -137,11 +137,9 @@ void write_frame_json(std::ostream& os, const Frame& f) {
       .field("maps", f.maps)
       .field("pool_size", f.last_pool_size)
       .field("reused", f.pools_reused)
-      .field("spec_aborts", f.spec_aborts)
       .field("ready", f.frontier_ready)
       .field("unreleased", f.frontier_unreleased)
       .field("pool_seconds", f.pool_build_seconds)
-      .field("sweep_seconds", f.sweep_seconds)
       .field("step_seconds", f.timestep_seconds)
       .field("departures", f.departures)
       .field("orphaned", f.orphaned)
@@ -184,11 +182,9 @@ Frame frame_from_json(const JsonValue& value) {
   // Absent in pre-sweep-accelerator recordings; the getter fallbacks keep
   // old .frames.jsonl files parseable.
   f.pools_reused = static_cast<std::uint64_t>(value.get_int("reused"));
-  f.spec_aborts = static_cast<std::uint64_t>(value.get_int("spec_aborts"));
   f.frontier_ready = static_cast<std::uint64_t>(value.get_int("ready"));
   f.frontier_unreleased = static_cast<std::uint64_t>(value.get_int("unreleased"));
   f.pool_build_seconds = value.get_double("pool_seconds");
-  f.sweep_seconds = value.get_double("sweep_seconds");
   f.timestep_seconds = value.get_double("step_seconds");
   f.departures = static_cast<std::uint64_t>(value.get_int("departures"));
   f.orphaned = static_cast<std::uint64_t>(value.get_int("orphaned"));

@@ -63,11 +63,9 @@ struct Frame {
   std::uint64_t maps = 0;           ///< placements committed this tick
   std::uint64_t last_pool_size = 0; ///< size of the last pool built this tick
   std::uint64_t pools_reused = 0;   ///< machine scopes skipped via cached verdicts
-  std::uint64_t spec_aborts = 0;    ///< speculative pools discarded this tick
   std::uint64_t frontier_ready = 0; ///< ready set size at end of tick
   std::uint64_t frontier_unreleased = 0; ///< tasks not yet arrived
   double pool_build_seconds = 0.0;  ///< wall time inside pool builds this tick
-  double sweep_seconds = 0.0;       ///< speculative fan-out wall time this tick
   double timestep_seconds = 0.0;    ///< wall time of the whole tick
 
   // Cumulative churn context (zero on churn-free runs).

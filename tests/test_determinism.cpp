@@ -1,25 +1,32 @@
-// Cross-variant determinism: the precomputed-table + frontier + memo fast
-// path must produce BIT-IDENTICAL schedules to the original scan-everything
-// execution (params.legacy_scan) — same T100, same AET, same TEC down to the
-// last double bit, same per-subtask placements. The tables are built by the
-// exact uncached expressions, so any divergence is a bug, not rounding.
+// Cross-variant determinism: the engine (precomputed tables + ready frontier
+// + batched scoring + beyond-horizon memo + pool reuse) must produce
+// BIT-IDENTICAL schedules to the plain reference driver in tests/oracles —
+// same T100, same AET, same TEC down to the last double bit, same
+// per-subtask placements. The tables and the batch kernel evaluate the exact
+// uncached expressions, so any divergence is a bug, not rounding.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/churn.hpp"
+#include "core/feasibility.hpp"
+#include "core/frontier.hpp"
 #include "core/heuristics.hpp"
 #include "core/runner.hpp"
 #include "core/scenario_cache.hpp"
+#include "core/scoring.hpp"
 #include "core/tuner.hpp"
 #include "core/upper_bound.hpp"
 #include "support/flight_recorder.hpp"
 #include "support/runtime_profiler.hpp"
 #include "support/task_ledger.hpp"
 #include "support/thread_pool.hpp"
+#include "tests/oracles/slrh_reference.hpp"
 #include "tests/scenario_fixtures.hpp"
 #include "workload/dynamics.hpp"
 
@@ -28,8 +35,8 @@ namespace {
 
 // Pin the process-wide pool to four workers BEFORE anything builds it (each
 // test file is its own binary, so this static initializer runs first). The
-// speculative sweep fan-out only engages at >= 2 workers; without the pin,
-// single-core CI hosts would silently test the serial fallback and call it
+// ScenarioCache build and the tuner fan out over it; without the pin,
+// single-core CI hosts would silently test the inline fallback and call it
 // coverage. Every test in this binary therefore runs with a real multi-
 // worker pool — which is exactly what the TSan job wants to race-check.
 [[maybe_unused]] const bool kForceParallelPool = [] {
@@ -50,23 +57,23 @@ std::vector<workload::Scenario> paper_shape_fixtures() {
   return fixtures;
 }
 
-void expect_identical(const core::MappingResult& legacy,
+void expect_identical(const core::MappingResult& reference,
                       const core::MappingResult& fast,
                       const workload::Scenario& scenario, const char* label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(legacy.complete, fast.complete);
-  EXPECT_EQ(legacy.assigned, fast.assigned);
-  EXPECT_EQ(legacy.t100, fast.t100);
-  EXPECT_EQ(legacy.aet, fast.aet);
-  EXPECT_EQ(legacy.tec, fast.tec);  // exact: bit-identical doubles
-  ASSERT_NE(legacy.schedule, nullptr);
+  EXPECT_EQ(reference.complete, fast.complete);
+  EXPECT_EQ(reference.assigned, fast.assigned);
+  EXPECT_EQ(reference.t100, fast.t100);
+  EXPECT_EQ(reference.aet, fast.aet);
+  EXPECT_EQ(reference.tec, fast.tec);  // exact: bit-identical doubles
+  ASSERT_NE(reference.schedule, nullptr);
   ASSERT_NE(fast.schedule, nullptr);
   const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
   for (TaskId t = 0; t < num_tasks; ++t) {
-    ASSERT_EQ(legacy.schedule->is_assigned(t), fast.schedule->is_assigned(t))
+    ASSERT_EQ(reference.schedule->is_assigned(t), fast.schedule->is_assigned(t))
         << "task " << t;
-    if (!legacy.schedule->is_assigned(t)) continue;
-    const auto& a = legacy.schedule->assignment(t);
+    if (!reference.schedule->is_assigned(t)) continue;
+    const auto& a = reference.schedule->assignment(t);
     const auto& b = fast.schedule->assignment(t);
     EXPECT_EQ(a.machine, b.machine) << "task " << t;
     EXPECT_EQ(a.version, b.version) << "task " << t;
@@ -76,7 +83,7 @@ void expect_identical(const core::MappingResult& legacy,
   }
 }
 
-TEST(Determinism, SlrhCachedMatchesLegacyScan) {
+TEST(Determinism, SlrhCachedMatchesReference) {
   for (const auto& scenario : paper_shape_fixtures()) {
     const core::ScenarioCache shared(scenario);
     for (const auto variant :
@@ -84,18 +91,17 @@ TEST(Determinism, SlrhCachedMatchesLegacyScan) {
       core::SlrhParams params;
       params.variant = variant;
       params.weights = core::Weights::make(0.6, 0.3);
+      const auto reference = oracle::run_slrh_reference(scenario, params);
 
-      params.legacy_scan = true;
-      const auto legacy = core::run_slrh(scenario, params);
-
-      params.legacy_scan = false;
       const auto local = core::run_slrh(scenario, params);  // run-local tables
       params.cache = &shared;
       const auto cached = core::run_slrh(scenario, params);  // shared tables
 
-      expect_identical(legacy, local, scenario, to_string(variant).c_str());
-      expect_identical(legacy, cached, scenario, to_string(variant).c_str());
-      params.cache = nullptr;
+      expect_identical(reference, local, scenario, to_string(variant).c_str());
+      expect_identical(reference, cached, scenario, to_string(variant).c_str());
+      // Every reused scope is one the reference built a pool for.
+      EXPECT_EQ(local.pools_built + local.pools_reused, reference.pools_built);
+      EXPECT_EQ(local.iterations, reference.iterations);
     }
   }
 }
@@ -127,61 +133,91 @@ TEST(Determinism, ChurnOffDriverMatchesPlainSlrh) {
   }
 }
 
-TEST(Determinism, SlrhBatchedScoringMatchesScalar) {
-  // The SoA score_batch kernel is the default pool builder over the ready
-  // frontier; params.scalar_score forces the per-candidate scalar loop over
-  // the SAME frontier. Both must match the legacy full scan bit for bit —
-  // the batch kernel evaluates the exact scalar expression trees, so any
-  // divergence is a kernel bug, not rounding.
+TEST(Determinism, SlrhRebuildEveryScopeMatchesReferencePoolForPool) {
+  // With pool reuse off the engine builds a pool exactly where the
+  // reference does — the frontier + batched-scoring pool of every scope
+  // must then lead to the scan-built pool's decision, and the pool counts
+  // must agree one for one.
   for (const auto& scenario : paper_shape_fixtures()) {
     for (const auto variant :
          {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
       core::SlrhParams params;
       params.variant = variant;
       params.weights = core::Weights::make(0.6, 0.3);
+      params.pool_reuse = false;
+      const auto reference = oracle::run_slrh_reference(scenario, params);
+      const auto rebuilt = core::run_slrh(scenario, params);
 
-      params.legacy_scan = true;
-      const auto legacy = core::run_slrh(scenario, params);
-
-      params.legacy_scan = false;
-      params.scalar_score = true;
-      const auto scalar = core::run_slrh(scenario, params);
-
-      params.scalar_score = false;
-      const auto batched = core::run_slrh(scenario, params);
-
-      expect_identical(legacy, scalar, scenario, to_string(variant).c_str());
-      expect_identical(legacy, batched, scenario, to_string(variant).c_str());
+      expect_identical(reference, rebuilt, scenario, to_string(variant).c_str());
+      EXPECT_EQ(rebuilt.pools_built, reference.pools_built);
+      EXPECT_EQ(rebuilt.pools_reused, 0u);
     }
   }
 }
 
-TEST(Determinism, ChurnBatchedScoringMatchesScalar) {
-  // Same contract through the churn driver: recovery re-pools orphaned work
-  // with partially-filled timelines, so the batch gather sees mid-run
-  // erase-churned state. A real departure makes the recovery path execute.
+TEST(Determinism, ChurnRecoveredPoolsMatchScan) {
+  // Churn recovery erases committed work from the timelines and returns
+  // orphans to the pool, so the batched gather sees erase-touched state no
+  // fresh run produces. Stop a churned run early (tau cut just past the
+  // departure) so work is left, then build every present machine's pool
+  // both ways from that schedule: the frontier + batched build must equal
+  // the oracle's full scan — membership, order, versions, scores and
+  // rejection tallies — with and without a degrade mask.
   auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
   scenario.machine_windows.assign(scenario.num_machines(),
                                   workload::Scenario::MachineWindow{});
   scenario.machine_windows[1].depart = scenario.tau / 8;
+  scenario.tau = scenario.tau / 8 + scenario.tau / 64;
+  const core::ScenarioCache cache(scenario);
+  const core::ObjectiveTotals totals = core::objective_totals(scenario);
+  std::vector<std::uint8_t> degrade(scenario.num_tasks(), 0);
+  for (std::size_t t = 0; t < degrade.size(); t += 3) degrade[t] = 1;
+
   for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
     core::SlrhParams params;
     params.variant = variant;
     params.weights = core::Weights::make(0.6, 0.3);
+    const auto churned = core::run_slrh_with_churn(scenario, params);
+    ASSERT_GT(churned.departures_processed, 0u);
+    ASSERT_GT(churned.orphaned, 0u);
+    ASSERT_FALSE(churned.result.complete) << "no work left to pool";
+    const sim::Schedule& schedule = *churned.result.schedule;
 
-    params.scalar_score = true;
-    const auto scalar = core::run_slrh_with_churn(scenario, params);
-
-    params.scalar_score = false;
-    const auto batched = core::run_slrh_with_churn(scenario, params);
-
-    EXPECT_GT(scalar.departures_processed, 0u);
-    EXPECT_EQ(batched.departures_processed, scalar.departures_processed);
-    EXPECT_EQ(batched.orphaned, scalar.orphaned);
-    EXPECT_EQ(batched.invalidated, scalar.invalidated);
-    EXPECT_EQ(batched.energy_forfeited, scalar.energy_forfeited);  // exact
-    expect_identical(scalar.result, batched.result, scenario,
-                     to_string(variant).c_str());
+    core::ReadyFrontier frontier(scenario, schedule);
+    core::CandidateBatch scratch;
+    std::size_t pooled = 0;
+    for (const Cycles clock : {scenario.tau / 2, scenario.tau}) {
+      frontier.advance_to(clock);
+      const std::vector<std::uint8_t>* const masks[] = {nullptr, &degrade};
+      for (const auto* mask : masks) {
+        params.secondary_only = mask;
+        for (MachineId m = 0; m < static_cast<MachineId>(scenario.num_machines());
+             ++m) {
+          if (!scenario.machine_available(m, clock)) continue;
+          SCOPED_TRACE(to_string(variant) + " clock " + std::to_string(clock) +
+                       " machine " + std::to_string(m) +
+                       (mask != nullptr ? " degraded" : ""));
+          core::SlrhPoolRejects scan_rejects, batched_rejects;
+          const auto scan = oracle::build_slrh_pool_scan(
+              scenario, schedule, params, totals, m, clock, &scan_rejects);
+          const auto batched = core::build_slrh_pool_batched(
+              scenario, cache, frontier, schedule, params, totals, m, clock,
+              &batched_rejects, nullptr, &scratch);
+          ASSERT_EQ(scan.size(), batched.size());
+          for (std::size_t i = 0; i < scan.size(); ++i) {
+            EXPECT_EQ(scan[i].task, batched[i].task) << "slot " << i;
+            EXPECT_EQ(scan[i].version, batched[i].version) << "slot " << i;
+            EXPECT_EQ(scan[i].score, batched[i].score) << "slot " << i;  // exact
+          }
+          EXPECT_EQ(scan_rejects.unreleased, batched_rejects.unreleased);
+          EXPECT_EQ(scan_rejects.assigned, batched_rejects.assigned);
+          EXPECT_EQ(scan_rejects.parents, batched_rejects.parents);
+          EXPECT_EQ(scan_rejects.energy, batched_rejects.energy);
+          pooled += scan.size();
+        }
+      }
+    }
+    EXPECT_GT(pooled, 0u) << to_string(variant);
   }
 }
 
@@ -451,14 +487,14 @@ TEST(Determinism, SlrhProfilerOnMatchesProfilerOff) {
       global_pool().set_profiler(nullptr);
 
       expect_identical(off, on, scenario, to_string(variant).c_str());
-      // The speculative sweep fans out on the pinned 4-worker pool, so the
-      // profiler must have seen pool tasks and the fan-out region.
+      // The run-local ScenarioCache build fans out on the pinned 4-worker
+      // pool, so the profiler must have seen pool tasks and that region.
       EXPECT_GT(profiler.totals().tasks, 0u);
-      bool saw_fanout = false;
+      bool saw_cache_build = false;
       for (const auto& region : profiler.snapshot_regions()) {
-        if (region.name == "sweep_fanout") saw_fanout = true;
+        if (region.name == "cache_build") saw_cache_build = true;
       }
-      EXPECT_TRUE(saw_fanout);
+      EXPECT_TRUE(saw_cache_build);
     }
   }
 }
@@ -507,8 +543,8 @@ TEST(Determinism, ChurnProfilerOnMatchesProfilerOff) {
 }
 
 TEST(Determinism, ParallelMatrixProfilerOnMatchesProfilerOff) {
-  // The profiler hooks also wrap the matrix-cell fan-out and the parallel /
-  // lazy cache builds underneath evaluate_matrix; the whole nested stack must
+  // The profiler hooks also wrap the matrix-cell fan-out and the parallel
+  // cache builds underneath evaluate_matrix; the whole nested stack must
   // stay bit-identical with a profiler attached.
   workload::SuiteParams suite_params;
   suite_params.num_tasks = 48;
@@ -643,197 +679,190 @@ TEST(Determinism, ParallelMatrixMatchesSerial) {
   }
 }
 
-TEST(Determinism, TunerWithSharedCacheMatchesLegacySolvers) {
+TEST(Determinism, TunerWithSharedCacheMatchesReference) {
   const auto scenario = test::small_suite_scenario(sim::GridCase::A, 48);
   const core::ScenarioCache shared(scenario);
   core::TunerParams tuner;
   tuner.coarse_step = 0.25;  // small grid: this is a determinism test, not a sweep
   tuner.fine_step = 0.0;
 
-  const auto legacy_solver = [&](const core::Weights& w) {
+  const auto reference_solver = [&](const core::Weights& w) {
     core::SlrhParams params;
     params.variant = core::SlrhVariant::V3;
     params.weights = w;
-    params.legacy_scan = true;
-    return core::run_slrh(scenario, params);
+    return oracle::run_slrh_reference(scenario, params);
   };
   const auto cached_solver = [&](const core::Weights& w) {
     return core::run_heuristic(core::HeuristicKind::Slrh3, scenario, w, {},
                                core::AetSign::Reward, nullptr, &shared);
   };
 
-  const auto legacy = core::tune_weights(legacy_solver, tuner);
+  const auto reference = core::tune_weights(reference_solver, tuner);
   const auto cached = core::tune_weights(cached_solver, tuner);
-  EXPECT_EQ(legacy.found, cached.found);
-  EXPECT_EQ(legacy.alpha, cached.alpha);
-  EXPECT_EQ(legacy.beta, cached.beta);
-  expect_identical(legacy.best, cached.best, scenario, "tuner best run");
-  ASSERT_EQ(legacy.evaluated.size(), cached.evaluated.size());
-  for (std::size_t i = 0; i < legacy.evaluated.size(); ++i) {
-    EXPECT_EQ(legacy.evaluated[i].t100, cached.evaluated[i].t100) << "point " << i;
-    EXPECT_EQ(legacy.evaluated[i].feasible, cached.evaluated[i].feasible)
+  EXPECT_EQ(reference.found, cached.found);
+  EXPECT_EQ(reference.alpha, cached.alpha);
+  EXPECT_EQ(reference.beta, cached.beta);
+  expect_identical(reference.best, cached.best, scenario, "tuner best run");
+  ASSERT_EQ(reference.evaluated.size(), cached.evaluated.size());
+  for (std::size_t i = 0; i < reference.evaluated.size(); ++i) {
+    EXPECT_EQ(reference.evaluated[i].t100, cached.evaluated[i].t100) << "point " << i;
+    EXPECT_EQ(reference.evaluated[i].feasible, cached.evaluated[i].feasible)
         << "point " << i;
   }
 }
 
-// --- ScenarioCache build modes -------------------------------------------
-//
-// Entries are independent per (task, machine, version) and every mode runs
-// the same expressions, so serial / parallel / lazy builds must be
-// bit-identical — tables AND the schedules driven off them.
-
-void expect_identical_tables(const core::ScenarioCache& a,
-                             const core::ScenarioCache& b,
-                             const workload::Scenario& scenario,
-                             const char* label) {
-  SCOPED_TRACE(label);
-  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-  const auto num_machines = static_cast<MachineId>(scenario.num_machines());
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    for (MachineId m = 0; m < num_machines; ++m) {
+// The ScenarioCache build fans machine columns and per-task tables out over
+// the pinned 4-worker pool; every entry must still equal the uncached
+// expression it replaces, bit for bit.
+TEST(Determinism, ParallelCacheBuildMatchesUncached) {
+  ASSERT_GE(global_pool().size(), 2u);
+  for (const auto& scenario : paper_shape_fixtures()) {
+    const core::ScenarioCache cache(scenario);
+    EXPECT_EQ(cache.columns_built(), scenario.num_machines());
+    const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
+    const auto num_machines = static_cast<MachineId>(scenario.num_machines());
+    for (TaskId t = 0; t < num_tasks; ++t) {
       for (const VersionKind v : {VersionKind::Primary, VersionKind::Secondary}) {
-        ASSERT_EQ(a.exec_cycles(t, m, v), b.exec_cycles(t, m, v));
-        ASSERT_EQ(a.exec_energy(t, m, v), b.exec_energy(t, m, v));  // exact
-        ASSERT_EQ(a.energy_need(t, m, v), b.energy_need(t, m, v));  // exact
+        Cycles min_cycles = std::numeric_limits<Cycles>::max();
+        for (MachineId m = 0; m < num_machines; ++m) {
+          const double energy = core::exec_energy(scenario, t, m, v);
+          ASSERT_EQ(cache.exec_cycles(t, m, v), scenario.exec_cycles(t, m, v));
+          ASSERT_EQ(cache.exec_energy(t, m, v), energy);  // exact
+          ASSERT_EQ(cache.energy_need(t, m, v),
+                    energy + core::worst_case_outgoing_energy(scenario, t, m, v));
+          min_cycles = std::min(min_cycles, scenario.exec_cycles(t, m, v));
+        }
+        ASSERT_EQ(cache.min_exec_cycles(t, v), min_cycles);
       }
-      ASSERT_EQ(a.primary_compute_energy(t, m), b.primary_compute_energy(t, m));
+      for (MachineId m = 0; m < num_machines; ++m) {
+        ASSERT_EQ(cache.primary_compute_energy(t, m),
+                  scenario.grid.machine(m).compute_power *
+                      scenario.etc.seconds(t, m));  // exact
+      }
     }
-    ASSERT_EQ(a.min_exec_cycles(t, VersionKind::Primary),
-              b.min_exec_cycles(t, VersionKind::Primary));
-    ASSERT_EQ(a.min_exec_cycles(t, VersionKind::Secondary),
-              b.min_exec_cycles(t, VersionKind::Secondary));
   }
 }
 
-TEST(Determinism, ParallelCacheBuildMatchesSerial) {
-  for (const auto& scenario : paper_shape_fixtures()) {
-    const core::ScenarioCache serial(scenario, core::CacheBuild::Serial);
-    const core::ScenarioCache parallel(scenario, core::CacheBuild::Parallel);
-    const core::ScenarioCache lazy(scenario, core::CacheBuild::Lazy);
-    EXPECT_EQ(serial.columns_built(), scenario.num_machines());
-    EXPECT_EQ(parallel.columns_built(), scenario.num_machines());
-    // Reading the lazy tables below faults every column in.
-    expect_identical_tables(serial, parallel, scenario, "parallel vs serial");
-    expect_identical_tables(serial, lazy, scenario, "lazy vs serial");
-    EXPECT_EQ(lazy.columns_built(), scenario.num_machines());
+// ---------------------------------------------------------------------------
+// Shared tables: a ScenarioCache is immutable after construction, so one
+// cache may serve any number of runs — concurrent ones (the tuner's parallel
+// probes share one per scenario) and every drive window of a churn run —
+// without changing a single decision.
 
-    for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
+TEST(Determinism, ConcurrentRunsOnSharedCacheAreIdentical) {
+  // TSan coverage of the read-only sharing contract: four threads map the
+  // same scenario through one cache at once, two per variant; each must
+  // reproduce its variant's single-threaded run bit for bit.
+  const auto scenario = test::small_suite_scenario(sim::GridCase::B, 48);
+  const core::ScenarioCache shared(scenario);
+  const auto params_for = [&](core::SlrhVariant variant) {
+    core::SlrhParams params;
+    params.variant = variant;
+    params.weights = core::Weights::make(0.6, 0.3);
+    params.cache = &shared;
+    return params;
+  };
+  const std::vector<core::SlrhVariant> variants = {
+      core::SlrhVariant::V1, core::SlrhVariant::V3, core::SlrhVariant::V1,
+      core::SlrhVariant::V3};
+
+  std::vector<core::MappingResult> concurrent(variants.size());
+  std::vector<std::thread> runners;
+  for (std::size_t r = 0; r < variants.size(); ++r) {
+    runners.emplace_back([&, r] {
+      concurrent[r] = core::run_slrh(scenario, params_for(variants[r]));
+    });
+  }
+  for (auto& runner : runners) runner.join();
+
+  for (std::size_t r = 0; r < variants.size(); ++r) {
+    const auto alone = core::run_slrh(scenario, params_for(variants[r]));
+    expect_identical(alone, concurrent[r], scenario,
+                     to_string(variants[r]).c_str());
+    EXPECT_EQ(concurrent[r].pools_built, alone.pools_built);
+    EXPECT_EQ(concurrent[r].pools_reused, alone.pools_reused);
+  }
+}
+
+TEST(Determinism, ChurnSharedCacheMatchesPerWindowTables) {
+  // Without params.cache each drive window of a churn run builds its own
+  // tables; with a shared cache every window reads the same ones. A mid-run
+  // departure forces several windows and orphan recovery, under both
+  // recovery policies.
+  auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
+  scenario.machine_windows.assign(scenario.num_machines(),
+                                  workload::Scenario::MachineWindow{});
+  scenario.machine_windows[1].depart = scenario.tau / 8;
+  const core::ScenarioCache shared(scenario);
+  for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
+    for (const auto recovery :
+         {core::ChurnRecovery::Remap, core::ChurnRecovery::Degrade}) {
+      SCOPED_TRACE(core::to_string(recovery));
       core::SlrhParams params;
       params.variant = variant;
       params.weights = core::Weights::make(0.6, 0.3);
-      params.cache = &serial;
-      const auto via_serial = core::run_slrh(scenario, params);
-      params.cache = &parallel;
-      const auto via_parallel = core::run_slrh(scenario, params);
-      expect_identical(via_serial, via_parallel, scenario,
+      const auto per_window = core::run_slrh_with_churn(scenario, params, recovery);
+      params.cache = &shared;
+      const auto cached = core::run_slrh_with_churn(scenario, params, recovery);
+
+      EXPECT_GT(per_window.departures_processed, 0u);
+      EXPECT_EQ(cached.departures_processed, per_window.departures_processed);
+      EXPECT_EQ(cached.orphaned, per_window.orphaned);
+      EXPECT_EQ(cached.invalidated, per_window.invalidated);
+      EXPECT_EQ(cached.energy_forfeited, per_window.energy_forfeited);  // exact
+      expect_identical(per_window.result, cached.result, scenario,
                        to_string(variant).c_str());
+      EXPECT_EQ(cached.result.pools_built, per_window.result.pools_built);
+      EXPECT_EQ(cached.result.pools_reused, per_window.result.pools_reused);
     }
   }
 }
 
-TEST(Determinism, LazyCacheSkipsDepartedMachineColumns) {
-  // A machine absent for the whole mapping horizon (the extreme of churn
-  // departure) is skipped by the sweep's availability check before any cache
-  // probe, so in lazy mode its column is never materialized — the
-  // "churn-departed machines never pay" claim.
+TEST(Determinism, NeverPresentMachineGetsNoWork) {
+  // A machine whose presence window opens past the mapping horizon is
+  // passed over by the sweep's availability check: it must receive no
+  // subtask, and its cache column must not sway the run.
   auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
   scenario.machine_windows.assign(scenario.num_machines(),
                                   workload::Scenario::MachineWindow{});
   scenario.machine_windows[1].join = scenario.tau * 8;  // beyond the horizon
   scenario.machine_windows[1].depart = scenario.tau * 8 + 1;
-  core::SlrhParams params;
-  params.variant = core::SlrhVariant::V1;
-  params.weights = core::Weights::make(0.6, 0.3);
+  const core::ScenarioCache shared(scenario);
+  for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
+    core::SlrhParams params;
+    params.variant = variant;
+    params.weights = core::Weights::make(0.6, 0.3);
+    const auto local = core::run_slrh_with_churn(scenario, params);
+    params.cache = &shared;
+    const auto cached = core::run_slrh_with_churn(scenario, params);
 
-  const core::ScenarioCache eager(scenario, core::CacheBuild::Serial);
-  params.cache = &eager;
-  const auto via_eager = core::run_slrh_with_churn(scenario, params);
-
-  const core::ScenarioCache lazy(scenario, core::CacheBuild::Lazy);
-  params.cache = &lazy;
-  const auto via_lazy = core::run_slrh_with_churn(scenario, params);
-
-  expect_identical(via_eager.result, via_lazy.result, scenario, "lazy churn");
-  EXPECT_FALSE(lazy.column_built(1));
-  EXPECT_LT(lazy.columns_built(), scenario.num_machines());
-  EXPECT_TRUE(lazy.column_built(0));
-}
-
-TEST(Determinism, ConcurrentLazyCacheTouchIsRaceFreeAndIdentical) {
-  // TSan coverage: many threads fault in overlapping column sets through the
-  // accessors at once. call_once must serialize each column's single fill,
-  // and every reader must see fully built values (acquire on the ready
-  // flag); the result must match a serial build bit for bit.
-  const auto scenario = test::small_suite_scenario(sim::GridCase::B, 48);
-  const core::ScenarioCache serial(scenario, core::CacheBuild::Serial);
-  const core::ScenarioCache lazy(scenario, core::CacheBuild::Lazy);
-  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-  const auto num_machines = static_cast<MachineId>(scenario.num_machines());
-
-  std::vector<std::thread> readers;
-  std::atomic<int> mismatches{0};
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&, r] {
-      // Each thread starts at a different machine so first-touches collide.
-      for (MachineId step = 0; step < num_machines; ++step) {
-        const auto m = static_cast<MachineId>((step + r) % num_machines);
-        for (TaskId t = 0; t < num_tasks; ++t) {
-          for (const VersionKind v :
-               {VersionKind::Primary, VersionKind::Secondary}) {
-            if (lazy.exec_cycles(t, m, v) != serial.exec_cycles(t, m, v) ||
-                lazy.exec_energy(t, m, v) != serial.exec_energy(t, m, v) ||
-                lazy.energy_need(t, m, v) != serial.energy_need(t, m, v)) {
-              mismatches.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-        }
-      }
-    });
+    expect_identical(local.result, cached.result, scenario,
+                     to_string(variant).c_str());
+    // Its late departure is still processed, but it destroys nothing.
+    EXPECT_EQ(local.orphaned, 0u);
+    EXPECT_EQ(local.invalidated, 0u);
+    ASSERT_GT(local.result.assigned, 0u);
+    const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
+    for (TaskId t = 0; t < num_tasks; ++t) {
+      if (!local.result.schedule->is_assigned(t)) continue;
+      EXPECT_NE(local.result.schedule->assignment(t).machine, MachineId{1})
+          << "task " << t;
+    }
   }
-  for (auto& reader : readers) reader.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(lazy.columns_built(), scenario.num_machines());
 }
 
 // ---------------------------------------------------------------------------
-// Sweep accelerator: the speculative parallel fan-out and the cross-tick
-// pool-reuse verdicts are pure accelerations of the per-tick machine sweep —
-// each must leave every schedule bit-identical to the serial rebuild-
-// everything sweep, with recorder AND ledger attached (the accelerator
-// defers all observer side effects to serial commit order, so the observers
-// must not be able to tell the difference either).
+// Pool reuse: the cross-tick skip verdicts are a pure acceleration of the
+// per-tick machine sweep — they must leave every schedule bit-identical to
+// the rebuild-every-scope sweep, with recorder AND ledger attached (the
+// observers must not be able to tell the difference either).
 
 core::SlrhParams serial_sweep_params(core::SlrhVariant variant) {
   core::SlrhParams params;
   params.variant = variant;
   params.weights = core::Weights::make(0.6, 0.3);
   params.pool_reuse = false;
-  params.sweep_parallel = false;
   return params;
-}
-
-TEST(Determinism, SlrhParallelSweepMatchesSerial) {
-  for (const auto& scenario : paper_shape_fixtures()) {
-    for (const auto variant :
-         {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
-      auto params = serial_sweep_params(variant);
-      const auto serial = core::run_slrh(scenario, params);
-
-      obs::FlightRecorder recorder(obs::FlightRecorder::dense_options());
-      obs::TaskLedger ledger(scenario.num_tasks());
-      params.recorder = &recorder;
-      params.ledger = &ledger;
-      params.sweep_parallel = true;
-      const auto parallel = core::run_slrh(scenario, params);
-
-      expect_identical(serial, parallel, scenario, to_string(variant).c_str());
-      // Speculation never changes WHAT is built, only where: every consumed
-      // or aborted slot is accounted exactly once, in serial machine order.
-      EXPECT_EQ(parallel.pools_built, serial.pools_built);
-      EXPECT_EQ(parallel.pools_reused, 0u);
-      EXPECT_GT(recorder.frames_recorded(), 0u);
-    }
-  }
 }
 
 TEST(Determinism, SlrhPoolReuseMatchesRebuild) {
@@ -857,37 +886,6 @@ TEST(Determinism, SlrhPoolReuseMatchesRebuild) {
       EXPECT_EQ(reused.pools_built + reused.pools_reused, serial.pools_built);
       EXPECT_GT(reused.pools_reused, 0u);
     }
-  }
-}
-
-TEST(Determinism, ChurnParallelSweepMatchesSerial) {
-  // Same contract through the churn driver: a real mid-run departure makes
-  // the recovery path erase timelines and re-pool orphans, and each post-
-  // churn segment gets a fresh SweepContext whose speculation must still
-  // match the serial sweep bit for bit.
-  auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
-  scenario.machine_windows.assign(scenario.num_machines(),
-                                  workload::Scenario::MachineWindow{});
-  scenario.machine_windows[1].depart = scenario.tau / 8;
-  for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
-    auto params = serial_sweep_params(variant);
-    const auto serial = core::run_slrh_with_churn(scenario, params);
-
-    obs::FlightRecorder recorder(obs::FlightRecorder::dense_options());
-    obs::TaskLedger ledger(scenario.num_tasks());
-    params.recorder = &recorder;
-    params.ledger = &ledger;
-    params.sweep_parallel = true;
-    const auto parallel = core::run_slrh_with_churn(scenario, params);
-
-    EXPECT_GT(serial.departures_processed, 0u);
-    EXPECT_EQ(parallel.departures_processed, serial.departures_processed);
-    EXPECT_EQ(parallel.orphaned, serial.orphaned);
-    EXPECT_EQ(parallel.invalidated, serial.invalidated);
-    EXPECT_EQ(parallel.energy_forfeited, serial.energy_forfeited);  // exact
-    expect_identical(serial.result, parallel.result, scenario,
-                     to_string(variant).c_str());
-    EXPECT_EQ(parallel.result.pools_built, serial.result.pools_built);
   }
 }
 

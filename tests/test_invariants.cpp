@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "core/feasibility.hpp"
 #include "core/heuristics.hpp"
@@ -20,14 +21,26 @@ class HeuristicInvariants
 TEST_P(HeuristicInvariants, NoReservationOutlivesACompleteMapping) {
   // Every worst-case communication reservation is settled or released by the
   // time all subtasks are mapped — leftover holds would mean phantom energy.
+  // A reservation is held for a mapped task's unmapped children only, so on
+  // an incomplete mapping every machine holding no such open edge must be
+  // clear too.
   const auto [kind, seed] = GetParam();
   const auto s = test::small_suite_scenario(sim::GridCase::A, 48, seed);
   const auto result = run_heuristic(kind, s, Weights::make(0.7, 0.25));
-  if (!result.complete) GTEST_SKIP() << "mapping incomplete at these weights";
+  const sim::Schedule& schedule = *result.schedule;
+  std::vector<bool> holds_open_edge(s.num_machines(), false);
+  for (const TaskId t : schedule.assignment_order()) {
+    for (const TaskId child : s.dag.children(t)) {
+      if (!schedule.is_assigned(child)) {
+        holds_open_edge[static_cast<std::size_t>(schedule.assignment(t).machine)] = true;
+      }
+    }
+  }
   for (std::size_t j = 0; j < s.num_machines(); ++j) {
-    EXPECT_NEAR(result.schedule->energy().reserved(static_cast<MachineId>(j)), 0.0,
-                1e-9)
-        << to_string(kind) << " machine " << j;
+    if (holds_open_edge[j]) continue;
+    EXPECT_NEAR(schedule.energy().reserved(static_cast<MachineId>(j)), 0.0, 1e-9)
+        << to_string(kind) << " machine " << j
+        << (result.complete ? "" : " (incomplete mapping)");
   }
 }
 

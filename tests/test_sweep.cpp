@@ -1,8 +1,9 @@
 // SweepContext unit contract (epoch bookkeeping, verdict lifecycle) plus the
-// randomized property test for the sweep accelerator: over random scenarios,
-// seeds and churn, all four {pool_reuse, sweep_parallel} combinations must
-// produce bit-identical schedules, and the epoch scheme must retire verdicts
-// exactly when a commit could have changed a machine's pool.
+// randomized property test for pool reuse: over random scenarios, seeds and
+// churn, the engine with reuse on and off must produce the schedule of the
+// reference driver (or, under churn, of the rebuild-every-scope sweep), and
+// the epoch scheme must retire verdicts exactly when a commit could have
+// changed a machine's pool.
 
 #include <gtest/gtest.h>
 
@@ -12,14 +13,16 @@
 #include "core/sweep.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
+#include "tests/oracles/slrh_reference.hpp"
 #include "tests/scenario_fixtures.hpp"
 #include "workload/dynamics.hpp"
 
 namespace ahg {
 namespace {
 
-// Make the speculative fan-out real even on single-core hosts (see the same
-// pin in test_determinism.cpp); must precede the first global_pool() use.
+// Make the parallel ScenarioCache build real even on single-core hosts (see
+// the same pin in test_determinism.cpp); must precede the first
+// global_pool() use.
 [[maybe_unused]] const bool kForceParallelPool = [] {
   configure_global_pool(4);
   return true;
@@ -39,14 +42,12 @@ core::PlacementPlan plan_on(MachineId machine,
   return plan;
 }
 
-TEST(Sweep, NoteCommitBumpsSerialAndTouchedEnergyEpochs) {
-  core::SweepContext sweep(4, 1);
-  EXPECT_EQ(sweep.commit_serial(), 0u);
+TEST(Sweep, NoteCommitBumpsTouchedEnergyEpochs) {
+  core::SweepContext sweep(4);
   for (MachineId m = 0; m < 4; ++m) EXPECT_EQ(sweep.energy_epoch(m), 0u);
 
   // Local commit on machine 2: only machine 2's ledger is touched.
   sweep.note_commit(plan_on(2));
-  EXPECT_EQ(sweep.commit_serial(), 1u);
   EXPECT_EQ(sweep.energy_epoch(2), 1u);
   EXPECT_EQ(sweep.energy_epoch(0), 0u);
   EXPECT_EQ(sweep.energy_epoch(1), 0u);
@@ -55,7 +56,6 @@ TEST(Sweep, NoteCommitBumpsSerialAndTouchedEnergyEpochs) {
   // Commit on 0 with transfers from 1 and 3: executing machine plus every
   // sender is bumped; machine 2 is untouched.
   sweep.note_commit(plan_on(0, {1, 3}));
-  EXPECT_EQ(sweep.commit_serial(), 2u);
   EXPECT_EQ(sweep.energy_epoch(0), 1u);
   EXPECT_EQ(sweep.energy_epoch(1), 1u);
   EXPECT_EQ(sweep.energy_epoch(3), 1u);
@@ -63,7 +63,7 @@ TEST(Sweep, NoteCommitBumpsSerialAndTouchedEnergyEpochs) {
 }
 
 TEST(Sweep, VerdictSkipsOnlyWhileEpochsStandAndHorizonShort) {
-  core::SweepContext sweep(2, 1);
+  core::SweepContext sweep(2);
   const Cycles horizon = 100;
 
   // No verdict recorded yet: never skip.
@@ -84,7 +84,7 @@ TEST(Sweep, VerdictSkipsOnlyWhileEpochsStandAndHorizonShort) {
 }
 
 TEST(Sweep, CommitOnMachineRetiresItsVerdict) {
-  core::SweepContext sweep(3, 1);
+  core::SweepContext sweep(3);
   sweep.record_verdict(0, core::SweepContext::kNoArrival, 3);
   sweep.record_verdict(1, core::SweepContext::kNoArrival, 3);
   EXPECT_TRUE(sweep.can_skip(0, 0, 100, 3));
@@ -102,49 +102,73 @@ TEST(Sweep, CommitOnMachineRetiresItsVerdict) {
 }
 
 TEST(Sweep, EmptyPoolVerdictSkipsAtEveryClock) {
-  core::SweepContext sweep(1, 1);
+  core::SweepContext sweep(1);
   sweep.record_verdict(0, core::SweepContext::kNoArrival, 0);
   EXPECT_TRUE(sweep.can_skip(0, 0, 100, 0));
   EXPECT_TRUE(sweep.can_skip(0, 1'000'000'000, 100, 0));
 }
 
-TEST(Sweep, ChunkScratchesAreDistinctAndBounded) {
-  core::SweepContext sweep(8, 4);
-  EXPECT_EQ(sweep.max_chunks(), 4u);
-  for (std::size_t c = 0; c < sweep.max_chunks(); ++c) {
-    for (std::size_t other = c + 1; other < sweep.max_chunks(); ++other) {
-      EXPECT_NE(&sweep.chunk_scratch(c), &sweep.chunk_scratch(other));
-    }
-  }
+TEST(Sweep, VerdictSurvivesCommitsOnOtherMachines) {
+  // Energy epochs are per machine: at an unchanged frontier revision, a
+  // commit that touches neither machine 0's nor machine 1's ledger leaves
+  // their verdicts live, while the machines it does touch lose theirs.
+  core::SweepContext sweep(4);
+  sweep.record_verdict(0, 500, 2);
+  sweep.record_verdict(1, 500, 2);
+  sweep.record_verdict(3, 500, 2);
+
+  sweep.note_commit(plan_on(2, {3}));
+  EXPECT_TRUE(sweep.can_skip(0, 0, 100, 2));
+  EXPECT_TRUE(sweep.can_skip(1, 0, 100, 2));
+  EXPECT_FALSE(sweep.can_skip(3, 0, 100, 2));
+}
+
+TEST(Sweep, ReRecordedVerdictReplacesBoundAndRevision) {
+  core::SweepContext sweep(1);
+  sweep.record_verdict(0, 500, 4);
+  EXPECT_TRUE(sweep.can_skip(0, 300, 100, 4));
+
+  // A later scope proved an earlier arrival: the tighter bound wins.
+  sweep.record_verdict(0, 200, 4);
+  EXPECT_FALSE(sweep.can_skip(0, 300, 100, 4));
+  EXPECT_TRUE(sweep.can_skip(0, 99, 100, 4));
+
+  // Re-recorded at a newer frontier revision: the old revision no longer
+  // matches, the new one does.
+  sweep.record_verdict(0, 500, 5);
+  EXPECT_FALSE(sweep.can_skip(0, 300, 100, 4));
+  EXPECT_TRUE(sweep.can_skip(0, 300, 100, 5));
 }
 
 // ---------------------------------------------------------------------------
 // Randomized epoch-invalidation property: across random small scenarios
 // (varying seed, size, grid case, release spread, with and without a mid-run
-// departure), every {pool_reuse, sweep_parallel} combination must produce
-// the same schedule as the serial sweep — bit-identical assignments, counts
-// and energy — and the reuse ledger must balance (built + reused == serial
+// departure) and all three variants, the engine with pool reuse on and off
+// must produce the same schedule as the baseline — the reference driver on
+// churn-free draws, the rebuild-every-scope engine sweep under churn (the
+// reference has no recovery) — with bit-identical assignments, counts and
+// energy, and the reuse ledger must balance (built + reused == baseline
 // builds). This is the test that catches a missing epoch bump: an energy or
 // frontier change the scheme failed to count makes a verdict survive a
 // commit that changed the pool, and the skipped scope diverges.
 
-void expect_identical(const core::MappingResult& serial,
+void expect_identical(const core::MappingResult& baseline,
                       const core::MappingResult& fast,
                       const workload::Scenario& scenario, const char* label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(serial.complete, fast.complete);
-  EXPECT_EQ(serial.assigned, fast.assigned);
-  EXPECT_EQ(serial.t100, fast.t100);
-  EXPECT_EQ(serial.aet, fast.aet);
-  EXPECT_EQ(serial.tec, fast.tec);  // exact: bit-identical doubles
-  ASSERT_NE(serial.schedule, nullptr);
+  EXPECT_EQ(baseline.complete, fast.complete);
+  EXPECT_EQ(baseline.assigned, fast.assigned);
+  EXPECT_EQ(baseline.t100, fast.t100);
+  EXPECT_EQ(baseline.aet, fast.aet);
+  EXPECT_EQ(baseline.tec, fast.tec);  // exact: bit-identical doubles
+  ASSERT_NE(baseline.schedule, nullptr);
   ASSERT_NE(fast.schedule, nullptr);
   const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
   for (TaskId t = 0; t < num_tasks; ++t) {
-    ASSERT_EQ(serial.schedule->is_assigned(t), fast.schedule->is_assigned(t))
+    ASSERT_EQ(baseline.schedule->is_assigned(t), fast.schedule->is_assigned(t))
         << "task " << t;
-    if (!serial.schedule->is_assigned(t)) continue;
-    const auto& a = serial.schedule->assignment(t);
+    if (!baseline.schedule->is_assigned(t)) continue;
+    const auto& a = baseline.schedule->assignment(t);
     const auto& b = fast.schedule->assignment(t);
     EXPECT_EQ(a.machine, b.machine) << "task " << t;
     EXPECT_EQ(a.version, b.version) << "task " << t;
@@ -176,32 +200,29 @@ TEST(Sweep, RandomizedFlagCombosMatchSerial) {
                                       workload::Scenario::MachineWindow{});
       scenario.machine_windows[1].depart = scenario.tau / 8;
     }
-    const auto variant = trial % 2 == 0 ? core::SlrhVariant::V3
-                                        : core::SlrhVariant::V2;
     SCOPED_TRACE("trial " + std::to_string(trial) + " tasks " +
                  std::to_string(num_tasks) + " seed " + std::to_string(seed));
 
-    core::SlrhParams params;
-    params.variant = variant;
-    params.weights = core::Weights::make(0.6, 0.3);
-    params.pool_reuse = false;
-    params.sweep_parallel = false;
-    const auto serial = core::run_slrh_with_churn(scenario, params).result;
+    for (const auto variant :
+         {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
+      core::SlrhParams params;
+      params.variant = variant;
+      params.weights = core::Weights::make(0.6, 0.3);
+      params.pool_reuse = false;
+      const auto baseline =
+          with_churn ? core::run_slrh_with_churn(scenario, params).result
+                     : oracle::run_slrh_reference(scenario, params);
 
-    for (const bool reuse : {false, true}) {
-      for (const bool spec : {false, true}) {
+      for (const bool reuse : {false, true}) {
         params.pool_reuse = reuse;
-        params.sweep_parallel = spec;
         const auto fast = core::run_slrh_with_churn(scenario, params).result;
-        const std::string label = std::string("reuse=") +
-                                  (reuse ? "on" : "off") + " spec=" +
-                                  (spec ? "on" : "off");
-        expect_identical(serial, fast, scenario, label.c_str());
-        if (reuse) {
-          EXPECT_EQ(fast.pools_built + fast.pools_reused, serial.pools_built)
-              << label;
-        } else {
-          EXPECT_EQ(fast.pools_built, serial.pools_built) << label;
+        const std::string label = core::to_string(variant) + " reuse=" +
+                                  (reuse ? "on" : "off") +
+                                  (with_churn ? " vs rebuild sweep" : " vs reference");
+        expect_identical(baseline, fast, scenario, label.c_str());
+        EXPECT_EQ(fast.pools_built + fast.pools_reused, baseline.pools_built)
+            << label;
+        if (!reuse) {
           EXPECT_EQ(fast.pools_reused, 0u) << label;
         }
       }
