@@ -178,9 +178,9 @@ int main(int argc, char** argv) {
   for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
     // Phase sink with a registry of the variant's own: the driver's
     // slrh.*_seconds histograms (pool build, scoring, placement, probe) and
-    // pool/reuse counters land in the dump under variant-labelled names, so
-    // bench_check --plot-scaling breaks each variant's curve into phases
-    // without mixing the two runs.
+    // pool/reuse/probe counters land in the dump under variant-labelled
+    // names (slrh.SLRH-3.probes_pruned), so bench_check --plot-scaling
+    // breaks each variant's curve into phases without mixing the two runs.
     obs::MetricsRegistry variant_metrics;
     obs::ForwardSink phase_sink(&variant_metrics, nullptr);
     core::SlrhParams params;
@@ -208,7 +208,10 @@ int main(int argc, char** argv) {
     std::cout << name << ": assigned " << result.assigned << "/"
               << shape.num_tasks << ", t100 " << result.t100 << ", pools "
               << result.pools_built << " (+" << result.pools_reused
-              << " reused)\n";
+              << " reused), placement probes "
+              << variant_metrics.counter("slrh.placement_probes").value()
+              << " (+" << variant_metrics.counter("slrh.probes_pruned").value()
+              << " pruned)\n";
 
     if (serial_ref) {
       core::SlrhParams serial = params;

@@ -369,12 +369,16 @@ int main(int argc, char** argv) {
     std::uint64_t total_pools = 0;
     std::uint64_t total_reused = 0;
     std::uint64_t total_maps = 0;
+    std::uint64_t total_probes = 0;
+    std::uint64_t total_pruned = 0;
     double pool_seconds = 0.0;
     std::uint64_t active_ticks = 0;
     for (const auto* f : group) {
       total_pools += f->pools_built;
       total_reused += f->pools_reused;
       total_maps += f->maps;
+      total_probes += f->probes;
+      total_pruned += f->probes_pruned;
       pool_seconds += f->pool_build_seconds;
       if (f->maps > 0) ++active_ticks;
     }
@@ -395,6 +399,13 @@ int main(int argc, char** argv) {
     if (total_reused > 0) {
       std::cout << "         re-planning: " << total_pools << " pool(s) built vs "
                 << total_reused << " reused\n";
+    }
+    // Placement economy: candidates planned vs rejected by the arrival
+    // bound alone. Zero on Max-Max and on pre-counter recordings.
+    if (total_probes + total_pruned > 0) {
+      std::cout << "         placement: " << total_probes
+                << " probe(s) planned, " << total_pruned
+                << " pruned by the arrival bound (sampled ticks)\n";
     }
     if (last.departures > 0 || last.orphaned > 0) {
       std::cout << "         churn: " << last.departures << " departure(s), "

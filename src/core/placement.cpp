@@ -95,6 +95,29 @@ PlacementPlan plan_placement(const workload::Scenario& scenario,
   return plan;
 }
 
+Cycles arrival_lower_bound(const workload::Scenario& scenario,
+                           const sim::Schedule& schedule, TaskId task,
+                           MachineId machine, Cycles not_before) {
+  AHG_EXPECTS_MSG(!schedule.is_assigned(task), "bounding an already-assigned task");
+  AHG_EXPECTS_MSG(not_before >= 0, "not_before must be non-negative");
+  // Mirrors plan_placement's parent walk with every channel taken as free:
+  // earliest_fit_pair never returns a start before `earliest`, and the
+  // overlays only add bookings, so each term is at most the planned one.
+  Cycles bound = 0;
+  for (const TaskId parent : scenario.dag.parents(task)) {
+    const auto& pa = schedule.assignment(parent);
+    const double bits = scenario.edge_bits(parent, task, pa.version);
+    if (pa.machine == machine || bits <= 0.0) {
+      bound = std::max(bound, pa.finish);
+      continue;
+    }
+    const Cycles dur = sim::transfer_cycles(bits, scenario.grid.machine(pa.machine),
+                                            scenario.grid.machine(machine));
+    bound = std::max(bound, std::max(not_before, pa.finish) + dur);
+  }
+  return bound;
+}
+
 void commit_placement(const workload::Scenario& scenario, sim::Schedule& schedule,
                       const PlacementPlan& plan) {
   AHG_EXPECTS_MSG(plan.task != kInvalidTask && plan.machine != kInvalidMachine,

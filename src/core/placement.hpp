@@ -72,6 +72,18 @@ PlacementPlan plan_placement(const workload::Scenario& scenario,
                              MachineId machine, VersionKind version,
                              Cycles not_before);
 
+/// A lower bound on plan_placement(...).arrival for any version of `task`
+/// on `machine`, from one walk over the parents: a local or empty edge
+/// contributes the parent's finish, a cross-machine edge
+/// max(not_before, parent finish) + its transfer time. Channel contention
+/// can only delay a transfer past that, never advance it, so the bound never
+/// exceeds the planned arrival; it is equal when no transfer waits on a
+/// booking. No overlay, sort or allocation. Same requirements as
+/// plan_placement.
+Cycles arrival_lower_bound(const workload::Scenario& scenario,
+                           const sim::Schedule& schedule, TaskId task,
+                           MachineId machine, Cycles not_before);
+
 /// Construct a schedule for a scenario with the scenario's link outages
 /// pre-booked on the tx/rx channels (so every placement plans around them).
 /// All heuristic runners build their schedules through this.

@@ -45,6 +45,8 @@ struct SlrhTelemetry {
   obs::Counter* timesteps = nullptr;
   obs::Counter* reuse_hits = nullptr;    ///< machine scopes skipped via verdicts
   obs::Counter* reuse_misses = nullptr;  ///< scopes that had to build
+  obs::Counter* probes = nullptr;        ///< plan_placement calls
+  obs::Counter* pruned = nullptr;        ///< candidates rejected by the bound
 
   bool tracing(obs::EventKind kind) const noexcept {
     return sink != nullptr && sink->wants(kind);
@@ -64,6 +66,8 @@ struct SlrhTelemetry {
       t.timesteps = &metrics->counter("slrh.timesteps");
       t.reuse_hits = &metrics->counter("slrh.pool_reuse_hits");
       t.reuse_misses = &metrics->counter("slrh.pool_reuse_misses");
+      t.probes = &metrics->counter("slrh.placement_probes");
+      t.pruned = &metrics->counter("slrh.probes_pruned");
     }
     return t;
   }
@@ -108,12 +112,13 @@ void sort_pool(std::vector<SlrhPoolCandidate>& pool) {
             });
 }
 
-/// Per-(machine, clock) memo of candidates whose exact placement was proven
-/// beyond the horizon. Within one such scope a commit can only ADD channel
-/// bookings and never reassigns a candidate's (already mapped) parents, so
-/// plan_placement's arrival is monotonically non-decreasing across the
-/// variant-2/3 re-walks — a candidate once beyond the horizon at this clock
-/// stays beyond it, and re-planning it is pure waste. The arrival is also
+/// Per-(machine, clock) memo of candidates proven beyond the horizon, either
+/// by arrival_lower_bound or by an exact plan. Within one such scope a commit
+/// can only ADD channel bookings and never reassigns a candidate's (already
+/// mapped) parents, so plan_placement's arrival is monotonically
+/// non-decreasing across the variant-2/3 re-walks and the bound does not
+/// move at all — a candidate once beyond the horizon at this clock stays
+/// beyond it, and re-checking it is pure waste. Both are also
 /// version-independent (incoming edge volumes depend on the PARENTS'
 /// committed versions), so one bit per task suffices. Generation stamping
 /// makes scope resets O(1).
@@ -136,6 +141,14 @@ class BeyondHorizonMemo {
   std::uint64_t generation_ = 1;
 };
 
+/// Placement work of one map_first_startable walk: deterministic counts for
+/// the slrh.placement_probes / slrh.probes_pruned counters and the flight
+/// recorder's frames.
+struct ProbeTally {
+  std::uint64_t planned = 0;  ///< plan_placement calls
+  std::uint64_t pruned = 0;   ///< candidates rejected by arrival_lower_bound
+};
+
 /// What a traced map_first_startable call saw: every candidate it examined
 /// (with the rejection reason for the passed-over ones) and, when a commit
 /// happened, the committed placement with its objective-term breakdown.
@@ -151,16 +164,21 @@ struct MapTrace {
 /// earliest start (communication included) falls within the horizon.
 /// Returns the index into `pool` of the mapped candidate, or npos.
 /// Admission energies come from the precomputed tables; `memo` skips
-/// re-planning candidates already proven beyond-horizon in this
-/// (machine, clock) scope.
+/// re-checking candidates already proven beyond-horizon in this
+/// (machine, clock) scope. A candidate whose arrival_lower_bound already
+/// lies beyond the horizon is rejected without a plan: the bound never
+/// exceeds the planned arrival, so the plan would reject it too.
 /// `trace` non-null records the decision (telemetry path only).
 /// `committed` non-null receives a copy of the committed plan (task-ledger
 /// and pool-reuse paths).
-/// `min_beyond` non-null accumulates (running min) the arrival of every
-/// candidate this walk proved beyond the horizon — the raw material for the
-/// cross-tick skip verdicts (core/sweep.hpp). Memo-skipped candidates were
-/// accumulated by the earlier walk that inserted them; arrivals only move
-/// later within a scope, so those remain valid lower bounds.
+/// `tally` non-null counts the plans made and the candidates pruned.
+/// `min_beyond` non-null accumulates (running min) the smallest proven lower
+/// bound on the arrival of every candidate this walk showed beyond the
+/// horizon — the bound for a pruned candidate, the exact arrival for a
+/// planned one. It is the raw material for the cross-tick skip verdicts
+/// (core/sweep.hpp). Memo-skipped candidates were accumulated by the earlier
+/// walk that inserted them; arrivals only move later within a scope, so
+/// those remain valid lower bounds.
 std::size_t map_first_startable(const workload::Scenario& scenario,
                                 sim::Schedule& schedule, const SlrhParams& params,
                                 const ObjectiveTotals& totals,
@@ -171,11 +189,21 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
                                 std::size_t skip_before = 0,
                                 MapTrace* trace = nullptr,
                                 PlacementPlan* committed = nullptr,
+                                ProbeTally* tally = nullptr,
                                 Cycles* min_beyond = nullptr) {
   obs::ProfileScope placement_scope(telemetry.placement);
   SubPhaseAccumulator earliest_time(telemetry.earliest_start);
   const auto fits = [&](TaskId task, VersionKind version) {
     return version_fits_energy(cache, schedule, task, machine, version);
+  };
+  const Cycles limit = clock + params.horizon;
+  const auto reject_beyond = [&](const SlrhPoolCandidate& cand, Cycles arrival) {
+    if (min_beyond != nullptr && arrival < *min_beyond) *min_beyond = arrival;
+    memo.insert(cand.task);
+    if (trace != nullptr) {
+      trace->candidates.push_back(
+          {cand.task, cand.version, cand.score, "beyond_horizon"});
+    }
   };
   for (std::size_t k = skip_before; k < pool.size(); ++k) {
     const SlrhPoolCandidate& cand = pool[k];
@@ -210,18 +238,26 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
       }
       continue;
     }
-    const PlacementPlan plan = earliest_time.time([&] {
-      return plan_placement(scenario, schedule, cand.task, machine, version, clock);
-    });
     // The horizon test uses the earliest possible start "given precedence
     // and communication requirements" (paper §IV) — i.e. data readiness on
     // this machine, NOT the machine's queue. For variant 1 the two coincide
     // (the machine is idle at the clock); for variants 2/3 this is what lets
     // them stack a queue of data-ready subtasks onto one machine within a
     // single timestep — and is exactly why SLRH-2 overloads machines and
-    // rarely meets the constraints (paper §VII).
-    const Cycles data_ready = std::max(clock, plan.arrival);
-    if (data_ready <= clock + params.horizon) {
+    // rarely meets the constraints (paper §VII). The contention-free bound
+    // screens first; only a candidate it cannot reject pays for a plan.
+    const Cycles bound =
+        arrival_lower_bound(scenario, schedule, cand.task, machine, clock);
+    if (std::max(clock, bound) > limit) {
+      if (tally != nullptr) ++tally->pruned;
+      reject_beyond(cand, bound);
+      continue;
+    }
+    if (tally != nullptr) ++tally->planned;
+    const PlacementPlan plan = earliest_time.time([&] {
+      return plan_placement(scenario, schedule, cand.task, machine, version, clock);
+    });
+    if (std::max(clock, plan.arrival) <= limit) {
       if (trace != nullptr) {
         // Capture the decision against the PRE-commit schedule state: the
         // breakdown of the hypothetical objective this choice maximised.
@@ -237,14 +273,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
       if (committed != nullptr) *committed = plan;
       return k;
     }
-    if (min_beyond != nullptr && plan.arrival < *min_beyond) {
-      *min_beyond = plan.arrival;
-    }
-    memo.insert(cand.task);
-    if (trace != nullptr) {
-      trace->candidates.push_back(
-          {cand.task, cand.version, cand.score, "beyond_horizon"});
-    }
+    reject_beyond(cand, plan.arrival);
   }
   return static_cast<std::size_t>(-1);
 }
@@ -317,6 +346,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   std::uint64_t step_pools = 0;
   std::uint64_t step_maps = 0;
   std::uint64_t step_last_pool = 0;
+  ProbeTally step_probes;
   std::uint64_t idle_ticks_unsampled = 0;
   std::uint64_t span_countdown = 1;  // countdown, not modulo: no div per build
   const std::uint64_t idle_stride =
@@ -411,11 +441,21 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     MapTrace trace;
     PlacementPlan committed;
     const bool want_plan = ledger != nullptr || sweep.has_value();
-    const std::size_t mapped =
-        map_first_startable(scenario, schedule, params, totals, pool, machine,
-                            clock, telemetry, *cache, memo, skip_before,
-                            tracing ? &trace : nullptr,
-                            want_plan ? &committed : nullptr, min_beyond);
+    const bool count_probes = telemetry.probes != nullptr || recorder != nullptr;
+    ProbeTally tally;
+    const std::size_t mapped = map_first_startable(
+        scenario, schedule, params, totals, pool, machine, clock, telemetry,
+        *cache, memo, skip_before, tracing ? &trace : nullptr,
+        want_plan ? &committed : nullptr, count_probes ? &tally : nullptr,
+        min_beyond);
+    if (telemetry.probes != nullptr) {
+      telemetry.probes->add(tally.planned);
+      telemetry.pruned->add(tally.pruned);
+    }
+    if (recorder != nullptr) {
+      step_probes.planned += tally.planned;
+      step_probes.pruned += tally.pruned;
+    }
     if (mapped != npos) {
       frontier.on_commit(pool[mapped].task);
       if (sweep.has_value()) sweep->note_commit(committed);
@@ -476,6 +516,8 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     frame.maps = step_maps;
     frame.last_pool_size = step_last_pool;
     frame.pools_reused = step_reused;
+    frame.probes = step_probes.planned;
+    frame.probes_pruned = step_probes.pruned;
     frame.frontier_ready = frontier.ready().size();
     frame.frontier_unreleased = frontier.num_unreleased();
     const sim::EnergyLedger& energy = schedule.energy();
@@ -501,6 +543,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       step_pool_seconds = 0.0;
       step_pools = step_maps = step_last_pool = 0;
       step_reused = 0;
+      step_probes = ProbeTally{};
       step_timed = false;
     }
     frontier.advance_to(clock);
@@ -525,10 +568,12 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       }
       memo.begin_scope();
 
-      // Scope bookkeeping for the cross-tick verdict: the smallest
-      // beyond-horizon arrival proven by any walk, whether the scope
-      // committed, and the epochs the LAST pool was built at (a recordable
-      // verdict requires that pool to be current — see sweep.hpp).
+      // Scope bookkeeping for the cross-tick verdict: the smallest proven
+      // lower bound on a beyond-horizon arrival from any walk (the
+      // arrival_lower_bound of a pruned candidate, the exact arrival of a
+      // planned one), whether the scope committed, and the epochs the LAST
+      // pool was built at (a recordable verdict requires that pool to be
+      // current — see sweep.hpp).
       Cycles scope_min_arrival = SweepContext::kNoArrival;
       Cycles* min_beyond = sweep.has_value() ? &scope_min_arrival : nullptr;
       bool scope_committed = false;

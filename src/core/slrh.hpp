@@ -95,14 +95,15 @@ struct SlrhParams {
   const ScenarioCache* cache = nullptr;
 
   /// Cross-tick pool reuse (core/sweep.hpp): when a (machine, timestep)
-  /// scope ends without a commit, remember the smallest beyond-horizon
-  /// arrival it proved, tagged with the frontier revision and the machine's
-  /// energy epoch; while both epochs stand, a later tick whose clock + H
-  /// stays below that arrival skips the machine's pool build outright — the
-  /// sweep would provably commit nothing there. Schedules are bit-identical
-  /// either way (asserted by tests/test_determinism.cpp); only pool-build
-  /// counts and their telemetry differ (MappingResult::pools_reused tallies
-  /// the skipped scopes). Off times the rebuild-every-scope sweep.
+  /// scope ends without a commit, remember the smallest lower bound it
+  /// proved on a beyond-horizon arrival, tagged with the frontier revision
+  /// and the machine's energy epoch; while both epochs stand, a later tick
+  /// whose clock + H stays below that bound skips the machine's pool build
+  /// outright — the sweep would provably commit nothing there. Schedules are
+  /// bit-identical either way (asserted by tests/test_determinism.cpp); only
+  /// pool-build counts and their telemetry differ (MappingResult::
+  /// pools_reused tallies the skipped scopes). Off times the
+  /// rebuild-every-scope sweep.
   bool pool_reuse = true;
 
   /// Optional per-task degrade mask (not owned; indexed by TaskId). A task

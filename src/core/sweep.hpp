@@ -2,16 +2,19 @@
 // Cross-tick pool reuse for the clock-driven SLRH driver (DESIGN.md §4h).
 //
 // When a (machine, timestep) scope ends without committing anything, the
-// driver records a skip verdict: the smallest beyond-horizon arrival the
-// scope proved, tagged with the frontier revision and the machine's energy
-// epoch. While both epochs stand, the machine's pool membership is
-// unchanged (same ready set, same per-machine energy admission) and
-// plan_placement arrivals are monotone non-decreasing in the probe clock and
-// in channel/compute bookings — so a later tick with clock' + H <
-// min_arrival provably maps nothing, and the whole scope collapses to this
-// O(1) test. Skipping a scope that would commit nothing leaves the schedule
-// bit-identical to the rebuild-every-scope sweep; only pool-build counts
-// (and their telemetry) differ.
+// driver records a skip verdict: the smallest proven lower bound on a
+// beyond-horizon arrival in the scope (a candidate's arrival_lower_bound when
+// that alone rejected it, its exact plan_placement arrival otherwise),
+// tagged with the frontier revision and the machine's energy epoch. While
+// both epochs stand, the machine's pool membership is unchanged (same ready
+// set, same per-machine energy admission) and plan_placement arrivals are
+// monotone non-decreasing in the probe clock and in channel/compute
+// bookings, so every candidate's arrival stays at or above its recorded
+// bound — a later tick with clock' + H < min_arrival provably maps nothing,
+// and the whole scope collapses to this O(1) test. Skipping a scope that
+// would commit nothing leaves the schedule bit-identical to the
+// rebuild-every-scope sweep; only pool-build counts (and their telemetry)
+// differ.
 //
 // Epochs: energy_epoch(m) counts the commits that touched machine m's
 // energy ledger (the executing machine — exec charge, released-parent hold
@@ -68,13 +71,13 @@ class SweepContext {
     return v.min_arrival == kNoArrival || clock + horizon < v.min_arrival;
   }
 
-  /// Record a no-commit scope outcome. `min_arrival` is the smallest
-  /// beyond-horizon arrival proven across the scope's walks (kNoArrival for
-  /// an empty pool). Only call when the scope's LAST pool was built at the
-  /// CURRENT (frontier revision, energy epoch) — a pool predating a
-  /// mid-scope commit may be missing commit-enabled candidates, and a
-  /// verdict taken from it would skip them forever. Stale verdicts need no
-  /// explicit invalidation: every commit bumps the frontier revision, so
+  /// Record a no-commit scope outcome. `min_arrival` is the smallest proven
+  /// lower bound on a beyond-horizon arrival across the scope's walks
+  /// (kNoArrival for an empty pool). Only call when the scope's LAST pool
+  /// was built at the CURRENT (frontier revision, energy epoch) — a pool
+  /// predating a mid-scope commit may be missing commit-enabled candidates,
+  /// and a verdict taken from it would skip them forever. Stale verdicts need
+  /// no explicit invalidation: every commit bumps the frontier revision, so
   /// the epoch compare in can_skip retires them automatically.
   void record_verdict(MachineId machine, Cycles min_arrival,
                       std::uint64_t frontier_revision) {

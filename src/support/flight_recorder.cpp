@@ -137,6 +137,8 @@ void write_frame_json(std::ostream& os, const Frame& f) {
       .field("maps", f.maps)
       .field("pool_size", f.last_pool_size)
       .field("reused", f.pools_reused)
+      .field("probes", f.probes)
+      .field("pruned", f.probes_pruned)
       .field("ready", f.frontier_ready)
       .field("unreleased", f.frontier_unreleased)
       .field("pool_seconds", f.pool_build_seconds)
@@ -182,6 +184,9 @@ Frame frame_from_json(const JsonValue& value) {
   // Absent in pre-sweep-accelerator recordings; the getter fallbacks keep
   // old .frames.jsonl files parseable.
   f.pools_reused = static_cast<std::uint64_t>(value.get_int("reused"));
+  // Absent in recordings that predate the probe counters.
+  f.probes = static_cast<std::uint64_t>(value.get_int("probes"));
+  f.probes_pruned = static_cast<std::uint64_t>(value.get_int("pruned"));
   f.frontier_ready = static_cast<std::uint64_t>(value.get_int("ready"));
   f.frontier_unreleased = static_cast<std::uint64_t>(value.get_int("unreleased"));
   f.pool_build_seconds = value.get_double("pool_seconds");

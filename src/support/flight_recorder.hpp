@@ -63,6 +63,8 @@ struct Frame {
   std::uint64_t maps = 0;           ///< placements committed this tick
   std::uint64_t last_pool_size = 0; ///< size of the last pool built this tick
   std::uint64_t pools_reused = 0;   ///< machine scopes skipped via cached verdicts
+  std::uint64_t probes = 0;         ///< placement plans (plan_placement) this tick
+  std::uint64_t probes_pruned = 0;  ///< candidates the arrival bound rejected unplanned
   std::uint64_t frontier_ready = 0; ///< ready set size at end of tick
   std::uint64_t frontier_unreleased = 0; ///< tasks not yet arrived
   double pool_build_seconds = 0.0;  ///< wall time inside pool builds this tick

@@ -106,6 +106,47 @@ TEST(Determinism, SlrhCachedMatchesReference) {
   }
 }
 
+TEST(Determinism, SlrhWithLinkOutagesMatchesReference) {
+  // Pre-booked outage blocks on the tx/rx channels make arrivals exceed the
+  // contention-free bound the engine screens candidates with; the reference
+  // plans every candidate, so any unsound rejection shows up as a diff.
+  std::vector<workload::Scenario> scenarios;
+  for (const auto grid_case : {sim::GridCase::A, sim::GridCase::B, sim::GridCase::C}) {
+    scenarios.push_back(test::small_suite_scenario(grid_case, 64, 4242));
+  }
+  scenarios.push_back(test::small_suite_scenario(sim::GridCase::A, 48));
+  workload::OutageParams outage_params;
+  outage_params.outages_per_machine = 6;
+  std::uint64_t seed = 13;
+  for (auto& scenario : scenarios) {
+    scenario.link_outages = workload::generate_link_outages(
+        outage_params, scenario.num_machines(), scenario.tau, seed++);
+    ASSERT_FALSE(scenario.link_outages.empty());
+  }
+  // dT = 1 puts a candidate's first startable tick exactly at
+  // clock + H == arrival, so a bound that overshoots by even one cycle
+  // would delay it and show up as a diff; dT = 10 is the paper's clock.
+  for (const auto& scenario : scenarios) {
+    for (const auto variant :
+         {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
+      for (const Cycles dt : {Cycles{10}, Cycles{1}}) {
+        core::SlrhParams params;
+        params.variant = variant;
+        params.weights = core::Weights::make(0.6, 0.3);
+        params.dt = dt;
+        const auto reference = oracle::run_slrh_reference(scenario, params);
+        const auto engine = core::run_slrh(scenario, params);
+
+        const std::string label = to_string(variant) + " dT=" + std::to_string(dt);
+        expect_identical(reference, engine, scenario, label.c_str());
+        EXPECT_EQ(engine.pools_built + engine.pools_reused, reference.pools_built)
+            << label;
+        EXPECT_EQ(engine.iterations, reference.iterations) << label;
+      }
+    }
+  }
+}
+
 TEST(Determinism, ChurnOffDriverMatchesPlainSlrh) {
   // churn=off contract: routing a run through run_slrh_with_churn — with no
   // presence windows, and with trivial all-present windows that exercise the

@@ -12,6 +12,8 @@
 
 #include "core/heuristics.hpp"
 #include "core/slrh.hpp"
+#include "support/event_log.hpp"
+#include "support/metrics.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -128,6 +130,9 @@ TEST(FlightRecorder, FramesJsonlRoundTripsEveryField) {
   frame.pools_built = 3;
   frame.maps = 2;
   frame.last_pool_size = 17;
+  frame.pools_reused = 5;
+  frame.probes = 6;
+  frame.probes_pruned = 11;
   frame.frontier_ready = 9;
   frame.frontier_unreleased = 4;
   frame.pool_build_seconds = 1e-4;
@@ -157,6 +162,9 @@ TEST(FlightRecorder, FramesJsonlRoundTripsEveryField) {
   EXPECT_EQ(f.pools_built, frame.pools_built);
   EXPECT_EQ(f.maps, frame.maps);
   EXPECT_EQ(f.last_pool_size, frame.last_pool_size);
+  EXPECT_EQ(f.pools_reused, frame.pools_reused);
+  EXPECT_EQ(f.probes, frame.probes);
+  EXPECT_EQ(f.probes_pruned, frame.probes_pruned);
   EXPECT_EQ(f.frontier_ready, frame.frontier_ready);
   EXPECT_EQ(f.frontier_unreleased, frame.frontier_unreleased);
   EXPECT_DOUBLE_EQ(f.pool_build_seconds, frame.pool_build_seconds);
@@ -227,6 +235,35 @@ TEST_F(FlightRecorderRunTest, SlrhRunProducesCoherentFrames) {
     if (s.name.rfind("run:", 0) == 0) saw_run = true;
   }
   EXPECT_TRUE(saw_run);
+}
+
+TEST_F(FlightRecorderRunTest, SlrhProbeCountsMatchMetricsCounters) {
+  // Dense frames see every tick, so their per-tick placement counts must add
+  // up to the run's slrh.placement_probes / slrh.probes_pruned counters.
+  const auto scenario = make_scenario();
+  for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
+    FlightRecorder recorder(FlightRecorder::dense_options());
+    obs::MetricsRegistry metrics;
+    obs::ForwardSink sink(&metrics, nullptr);
+    core::SlrhParams params;
+    params.variant = variant;
+    params.recorder = &recorder;
+    params.sink = &sink;
+    const auto result = core::run_slrh(scenario, params);
+
+    std::uint64_t probes = 0;
+    std::uint64_t pruned = 0;
+    for (const Frame& f : recorder.frames()) {
+      probes += f.probes;
+      pruned += f.probes_pruned;
+    }
+    EXPECT_EQ(recorder.frames_dropped(), 0u);
+    EXPECT_EQ(probes, metrics.counter("slrh.placement_probes").value());
+    EXPECT_EQ(pruned, metrics.counter("slrh.probes_pruned").value());
+    // Every commit is one successful plan; the bound rejects the rest early.
+    EXPECT_GE(probes, static_cast<std::uint64_t>(result.assigned));
+    EXPECT_GT(pruned, 0u);
+  }
 }
 
 TEST_F(FlightRecorderRunTest, IdleStrideDecimatesOnlyIdleTicks) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/feasibility.hpp"
+#include "core/slrh.hpp"
+#include "sim/comm.hpp"
 #include "tests/scenario_fixtures.hpp"
+#include "workload/dynamics.hpp"
 
 namespace ahg::core {
 namespace {
@@ -152,6 +158,100 @@ TEST(Placement, PlanRejectsAssignedTaskOrUnassignedParent) {
   commit_placement(s, schedule, plan_placement(s, schedule, 0, 0, VersionKind::Primary, 0));
   EXPECT_THROW(plan_placement(s, schedule, 0, 1, VersionKind::Primary, 0),
                PreconditionError);  // already assigned
+}
+
+
+TEST(Placement, ArrivalLowerBoundNeverExceedsPlan) {
+  // Drive SLRH part-way on suite scenarios (some with link outages, so the
+  // channels carry pre-booked blocks besides the committed transfers), then
+  // bound every planable (task, machine, not_before) against the plan.
+  std::vector<workload::Scenario> scenarios;
+  scenarios.push_back(test::small_suite_scenario(sim::GridCase::A, 64));
+  scenarios.push_back(test::small_suite_scenario(sim::GridCase::C, 64, 77));
+  for (const auto grid_case : {sim::GridCase::A, sim::GridCase::B}) {
+    auto outages = test::small_suite_scenario(grid_case, 64, 4242);
+    workload::OutageParams outage_params;
+    outage_params.outages_per_machine = 6;
+    outages.link_outages = workload::generate_link_outages(
+        outage_params, outages.num_machines(), outages.tau, 13);
+    scenarios.push_back(std::move(outages));
+  }
+
+  std::size_t checked = 0;
+  std::size_t tight = 0;       // equality asserted
+  std::size_t slack = 0;       // contention made the bound strict
+  std::size_t secondary = 0;   // bounds over a secondary-version parent
+  std::size_t mixed = 0;       // bounds over local AND cross-machine parents
+  for (const auto& s : scenarios) {
+    const auto num_tasks = static_cast<TaskId>(s.num_tasks());
+    const auto num_machines = static_cast<MachineId>(s.num_machines());
+    for (const auto variant : {SlrhVariant::V1, SlrhVariant::V3}) {
+      for (const Cycles stop : {s.tau / 8, s.tau / 3}) {
+        SlrhParams params;
+        params.variant = variant;
+        params.weights = Weights::make(0.6, 0.3);
+        auto schedule = make_schedule(s);
+        MappingResult stats;
+        drive_slrh(s, params, *schedule, 0, stop, stats);
+
+        for (TaskId t = 0; t < num_tasks; ++t) {
+          if (schedule->is_assigned(t)) continue;
+          const auto& parents = s.dag.parents(t);
+          if (!std::all_of(parents.begin(), parents.end(), [&](TaskId p) {
+                return schedule->is_assigned(p);
+              })) {
+            continue;
+          }
+          for (MachineId m = 0; m < num_machines; ++m) {
+            for (const Cycles not_before : {Cycles{0}, stop / 2, stop, stop + 37}) {
+              const Cycles bound = arrival_lower_bound(s, *schedule, t, m, not_before);
+              const auto plan =
+                  plan_placement(s, *schedule, t, m, VersionKind::Primary, not_before);
+              ASSERT_LE(bound, plan.arrival)
+                  << "task " << t << " machine " << m << " not_before " << not_before;
+              ++checked;
+
+              // Equality: at most one cross-machine transfer, and its
+              // channels free from the moment it may start.
+              std::size_t cross = 0;
+              std::size_t local = 0;
+              bool channels_free = true;
+              for (const TaskId p : parents) {
+                const auto& pa = schedule->assignment(p);
+                if (pa.version == VersionKind::Secondary) ++secondary;
+                const double bits = s.edge_bits(p, t, pa.version);
+                if (pa.machine == m || bits <= 0.0) {
+                  ++local;
+                  continue;
+                }
+                ++cross;
+                const Cycles earliest = std::max(not_before, pa.finish);
+                const Cycles dur = sim::transfer_cycles(
+                    bits, s.grid.machine(pa.machine), s.grid.machine(m));
+                channels_free = channels_free &&
+                                schedule->tx_timeline(pa.machine).is_free(earliest, dur) &&
+                                schedule->rx_timeline(m).is_free(earliest, dur);
+              }
+              if (local > 0 && cross > 0) ++mixed;
+              if (cross <= 1 && channels_free) {
+                EXPECT_EQ(bound, plan.arrival)
+                    << "task " << t << " machine " << m << " not_before " << not_before;
+                ++tight;
+              } else if (bound < plan.arrival) {
+                ++slack;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep must reach every case the bound distinguishes.
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(tight, 0u);
+  EXPECT_GT(slack, 0u);
+  EXPECT_GT(secondary, 0u);
+  EXPECT_GT(mixed, 0u);
 }
 
 }  // namespace
