@@ -6,6 +6,9 @@
 // is the CI-sized run of the same shape. Dumps BENCH_scale.json /
 // BENCH_scale_smoke.json for the regression gate.
 //
+// Every variant's schedule also goes through the independent validator
+// (bench.<variant>_valid, gated exactly; bench.validate_seconds).
+//
 // The scenario generalises the suite's recipe to an arbitrary machine count:
 // a half-fast/half-slow grid, the Gamma-CVB ETC, a layered DAG whose level
 // width scales with |T| (wide levels = large ready frontiers = large pools,
@@ -20,6 +23,7 @@
 #include "bench/bench_common.hpp"
 #include "core/scenario_cache.hpp"
 #include "core/slrh.hpp"
+#include "core/validate.hpp"
 #include "support/contract.hpp"
 #include "support/env.hpp"
 #include "support/event_log.hpp"
@@ -212,6 +216,20 @@ int main(int argc, char** argv) {
               << variant_metrics.counter("slrh.placement_probes").value()
               << " (+" << variant_metrics.counter("slrh.probes_pruned").value()
               << " pruned)\n";
+    // The independent validator on every tier's schedule. Completeness and
+    // the deadline have their own counters, so this one gates the hard
+    // constraints: precedence, exclusivity, routing, energy, aggregates.
+    session.set_phase(name + "_validate");
+    const core::ValidationReport validation = report.timed_section("validate", [&] {
+      core::ValidateOptions constraints_only;
+      constraints_only.require_complete = false;
+      constraints_only.require_within_tau = false;
+      return core::validate_schedule(scenario, *result.schedule, constraints_only);
+    });
+    report.metrics().counter("bench." + name + "_valid").add(validation.ok() ? 1 : 0);
+    std::cout << name << ": validator "
+              << (validation.ok() ? std::string("ok") : "FAILED\n" + validation.str())
+              << "\n";
 
     if (serial_ref) {
       core::SlrhParams serial = params;

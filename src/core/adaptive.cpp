@@ -1,26 +1,15 @@
 #include "core/adaptive.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <vector>
 
+#include "core/churn.hpp"
 #include "core/placement.hpp"
 #include "core/upper_bound.hpp"
-#include "sim/comm.hpp"
 #include "support/contract.hpp"
 #include "support/stopwatch.hpp"
 
 namespace ahg::core {
-
-namespace {
-
-/// Machine ids shift down past the removed machine.
-MachineId remap_machine(MachineId original, MachineId removed) {
-  AHG_EXPECTS_MSG(original != removed, "remapping the removed machine itself");
-  return original < removed ? original : original - 1;
-}
-
-}  // namespace
 
 Weights adapt_alpha(const Weights& weights, const workload::Scenario& original,
                     const workload::Scenario& degraded) {
@@ -58,16 +47,6 @@ LossRunOutcome run_slrh_with_loss(const workload::Scenario& scenario,
   params.dt = clock.dt;
   params.horizon = clock.horizon;
 
-  const auto before_ptr = make_schedule(scenario);
-  sim::Schedule& before = *before_ptr;
-  MappingResult phase1_stats;
-  drive_slrh(scenario, params, before, /*start_clock=*/0,
-             /*end_clock=*/event.time, phase1_stats);
-
-  // --- Loss model: discard the lost machine's tasks + mapped descendants. ---
-  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-  std::vector<bool> discarded(scenario.num_tasks(), false);
-
   LossRunOutcome outcome{MappingResult{},
                          workload::Scenario{scenario.grid.without_machine(event.machine),
                                             scenario.dag,
@@ -75,96 +54,53 @@ LossRunOutcome run_slrh_with_loss(const workload::Scenario& scenario,
                                             scenario.data, scenario.versions,
                                             scenario.tau},
                          0, 0, weights};
-  outcome.degraded_scenario.releases = scenario.releases;
+  MappingResult& result = outcome.result;
+  const auto before = make_schedule(scenario);
+  drive_slrh(scenario, params, *before, /*start_clock=*/0,
+             /*end_clock=*/event.time, result);
+
+  // --- The degraded grid: survivors keep their order, ids close the gap. ---
+  std::vector<MachineId> machine_map(scenario.num_machines(), kInvalidMachine);
+  MachineId next_id = 0;
+  for (std::size_t m = 0; m < machine_map.size(); ++m) {
+    if (static_cast<MachineId>(m) != event.machine) machine_map[m] = next_id++;
+  }
+  workload::Scenario& degraded = outcome.degraded_scenario;
+  degraded.releases = scenario.releases;
   for (const auto& outage : scenario.link_outages) {
     if (outage.machine == event.machine) continue;  // its link died with it
     auto copy = outage;
-    copy.machine = remap_machine(outage.machine, event.machine);
-    outcome.degraded_scenario.link_outages.push_back(copy);
+    copy.machine = machine_map[static_cast<std::size_t>(outage.machine)];
+    degraded.link_outages.push_back(copy);
   }
-  outcome.degraded_scenario.validate();
+  degraded.validate();
 
-  std::queue<TaskId> spill;
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    if (!before.is_assigned(t)) continue;
-    const auto& a = before.assignment(t);
-    if (a.machine == event.machine) {
-      if (a.finish <= event.time) ++outcome.completed_on_lost_machine;
-      discarded[static_cast<std::size_t>(t)] = true;
-      spill.push(t);
-    }
+  // --- Loss model: everything on the lost machine seeds the shared ---------
+  // recovery (core/churn.hpp), which discards its mapped descendants and any
+  // survivor whose worst-case output hold the degraded grid can't back.
+  std::vector<char> seed(scenario.num_tasks(), 0);
+  for (const TaskId t : before->assignment_order()) {
+    const auto& a = before->assignment(t);
+    if (a.machine != event.machine) continue;
+    if (a.finish <= event.time) ++outcome.completed_on_lost_machine;
+    seed[static_cast<std::size_t>(t)] = 1;
   }
-  while (!spill.empty()) {
-    const TaskId t = spill.front();
-    spill.pop();
-    for (const TaskId child : scenario.dag.children(t)) {
-      if (discarded[static_cast<std::size_t>(child)]) continue;
-      if (!before.is_assigned(child)) continue;
-      discarded[static_cast<std::size_t>(child)] = true;
-      spill.push(child);
-    }
-  }
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    if (discarded[static_cast<std::size_t>(t)]) ++outcome.discarded;
-  }
-
-  // --- Replay the surviving mapping onto the degraded grid. -----------------
-  auto schedule = make_schedule(outcome.degraded_scenario);
-  auto kept = [&](TaskId t) {
-    return before.is_assigned(t) && !discarded[static_cast<std::size_t>(t)];
-  };
-  // Transfers between kept tasks, replayed first-come (original times).
-  for (const auto& ev : before.comm_events()) {
-    if (!kept(ev.from_task) || !kept(ev.to_task)) continue;
-    schedule->add_comm(ev.from_task, ev.to_task,
-                       remap_machine(ev.from_machine, event.machine),
-                       remap_machine(ev.to_machine, event.machine), ev.start,
-                       ev.finish - ev.start, ev.bits, ev.energy);
-  }
-  for (const TaskId t : before.assignment_order()) {
-    if (!kept(t)) continue;
-    const auto& a = before.assignment(t);
-    schedule->add_assignment(t, remap_machine(a.machine, event.machine), a.version,
-                             a.start, a.finish - a.start, a.energy);
-  }
-  // Re-take worst-case reservations for kept tasks' edges to unmapped
-  // children (discarded children will be remapped and their inputs re-sent
-  // from the surviving parent's machine).
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    if (!kept(t)) continue;
-    const auto& a = before.assignment(t);
-    const auto machine = remap_machine(a.machine, event.machine);
-    const auto& spec = outcome.degraded_scenario.grid.machine(machine);
-    for (const TaskId child : scenario.dag.children(t)) {
-      if (schedule->is_assigned(child)) continue;
-      const double bits = scenario.edge_bits(t, child, a.version);
-      if (bits <= 0.0) continue;
-      const Cycles wc =
-          sim::worst_case_transfer_cycles(bits, spec, outcome.degraded_scenario.grid);
-      schedule->ledger().reserve(machine, sim::edge_key(t, child),
-                                 sim::transfer_energy(spec, wc));
-    }
-  }
+  RecoveryReplay replay =
+      replay_survivors(scenario, *before,
+                       std::vector<char>(scenario.num_machines(), 0),
+                       std::move(seed), degraded, machine_map);
+  outcome.discarded = static_cast<std::size_t>(
+      std::count_if(replay.invalid.begin(), replay.invalid.end(),
+                    [](char flag) { return flag != 0; }));
 
   // --- Phase 2: resume on the degraded grid. ---------------------------------
-  if (adapt) {
-    outcome.adapted_weights = adapt_alpha(weights, scenario, outcome.degraded_scenario);
-  }
+  if (adapt) outcome.adapted_weights = adapt_alpha(weights, scenario, degraded);
   params.weights = outcome.adapted_weights;
-  MappingResult& result = outcome.result;
-  result.iterations = phase1_stats.iterations;
-  result.pools_built = phase1_stats.pools_built;
-  drive_slrh(outcome.degraded_scenario, params, *schedule,
-             /*start_clock=*/event.time, outcome.degraded_scenario.tau + 1, result);
+  drive_slrh(degraded, params, *replay.schedule, /*start_clock=*/event.time,
+             degraded.tau + 1, result);
 
-  result.wall_seconds = timer.seconds();
-  result.complete = schedule->complete();
-  result.assigned = schedule->num_assigned();
-  result.t100 = schedule->t100();
-  result.aet = schedule->aet();
-  result.tec = schedule->tec();
-  result.within_tau = schedule->aet() <= scenario.tau;
-  result.schedule = std::move(schedule);
+  result = finalize_result(degraded, std::move(replay.schedule), timer,
+                           std::move(result));
   return outcome;
 }
 

@@ -11,9 +11,10 @@
 //  * every mapped descendant of a discarded subtask is discarded too (its
 //    inputs may no longer be reproducible), keeping the surviving mapping
 //    ancestor-closed;
-//  * the surviving assignments and transfers are replayed onto a fresh
-//    schedule over the degraded grid, worst-case reservations are re-taken
-//    for edges to now-unmapped children, and the SLRH loop resumes at T;
+//  * the survivors are replayed onto a fresh schedule over the degraded grid
+//    by churn's recovery routine (core::replay_survivors), so a survivor
+//    whose machine can no longer back the worst-case hold on an output to an
+//    unmapped child is discarded too; the SLRH loop then resumes at T;
 //  * energy already sunk into discarded work is not re-charged to the
 //    survivors (optimistic accounting — the study's focus is mapping
 //    robustness, not waste accounting).

@@ -111,20 +111,6 @@ std::optional<VersionKind> pick_version(const workload::Scenario& scenario,
   return std::nullopt;
 }
 
-MappingResult finalize(const workload::Scenario& scenario,
-                       std::shared_ptr<sim::Schedule> schedule, const Stopwatch& timer,
-                       MappingResult result) {
-  result.wall_seconds = timer.seconds();
-  result.complete = schedule->complete();
-  result.assigned = schedule->num_assigned();
-  result.t100 = schedule->t100();
-  result.aet = schedule->aet();
-  result.tec = schedule->tec();
-  result.within_tau = schedule->aet() <= scenario.tau;
-  result.schedule = std::move(schedule);
-  return result;
-}
-
 /// Commit with an exact-plan deadline re-check; returns false if every
 /// retry is exhausted (the caller treats the triplet as inadmissible).
 bool checked_commit(const workload::Scenario& scenario, sim::Schedule& schedule,
@@ -186,7 +172,7 @@ MappingResult run_minmin(const workload::Scenario& scenario, const BaselineParam
     excluded.clear();
     frontier.mark_mapped(scenario, best_task);
   }
-  return finalize(scenario, std::move(schedule), timer, std::move(result));
+  return finalize_result(scenario, std::move(schedule), timer, std::move(result));
 }
 
 MappingResult run_olb(const workload::Scenario& scenario, const BaselineParams& params) {
@@ -224,7 +210,7 @@ MappingResult run_olb(const workload::Scenario& scenario, const BaselineParams& 
     }
     if (!mapped) break;  // stuck on the head-of-line task
   }
-  return finalize(scenario, std::move(schedule), timer, std::move(result));
+  return finalize_result(scenario, std::move(schedule), timer, std::move(result));
 }
 
 MappingResult run_random(const workload::Scenario& scenario,
@@ -265,7 +251,7 @@ MappingResult run_random(const workload::Scenario& scenario,
     }
     if (!mapped) break;  // this task fits nowhere: stuck
   }
-  return finalize(scenario, std::move(schedule), timer, std::move(result));
+  return finalize_result(scenario, std::move(schedule), timer, std::move(result));
 }
 
 }  // namespace ahg::core

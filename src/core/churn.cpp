@@ -1,6 +1,7 @@
 #include "core/churn.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,7 +35,8 @@ Cycles next_timestep(Cycles time, Cycles dt) {
 }
 
 /// Which assigned subtasks lost their work to the departures seen so far.
-/// Seed: unfinished subtasks on departed machines (the orphans). A COMPLETED
+/// Seed: `extra_seed` (a lost machine's tasks, unaffordable holds) plus the
+/// unfinished subtasks on departed machines (the orphans). A COMPLETED
 /// subtask on a departed machine survives only while every data-carrying
 /// output edge is satisfied: consumed on the same machine by a surviving
 /// child, or transmitted cross-machine before the departure to a surviving
@@ -111,12 +113,10 @@ std::vector<char> compute_invalid(const workload::Scenario& scenario,
   return invalid;
 }
 
-/// Replay the surviving mapping onto a fresh schedule (original machines and
-/// times — no remapping; machine ids are stable under churn), re-take the
-/// worst-case communication reservations kept tasks owe their unmapped
-/// children, then seal every departed machine: compute blocked past any
-/// reachable clock (defense in depth — the sweep already skips absentees)
-/// and the stranded battery forfeited.
+/// Replay the surviving mapping of `before` onto a fresh schedule over
+/// `target` (original times, machine ids through `machine_map`) and re-take
+/// the worst-case communication reservations kept tasks owe their unmapped
+/// children, priced on the target grid.
 ///
 /// Re-taking a reservation can FAIL: when the edge's original hold was
 /// settled cheaply (or released on-machine) the freed headroom may have been
@@ -127,53 +127,54 @@ std::vector<char> compute_invalid(const workload::Scenario& scenario,
 /// placements safe, so it cannot be waived. `*unaffordable` reports the
 /// first such task (kInvalidTask when the rebuild is clean); the caller
 /// folds it into the invalidation fixpoint and retries.
-std::shared_ptr<sim::Schedule> rebuild_schedule(const workload::Scenario& scenario,
+std::shared_ptr<sim::Schedule> rebuild_schedule(const workload::Scenario& source,
                                                 const sim::Schedule& before,
                                                 const std::vector<char>& invalid,
-                                                const std::vector<char>& departed,
+                                                const workload::Scenario& target,
+                                                const std::vector<MachineId>& machine_map,
                                                 TaskId* unaffordable) {
   constexpr double kLedgerEps = 1e-9;  // sim/energy.cpp's overdraw tolerance
   *unaffordable = kInvalidTask;
-  auto schedule = make_schedule(scenario);
+  auto schedule = make_schedule(target);
   const auto kept = [&](TaskId t) {
     return before.is_assigned(t) && invalid[static_cast<std::size_t>(t)] == 0;
   };
+  // Schedule::add_* reject an unmapped (kInvalidMachine) target id.
+  const auto to_target = [&](MachineId m) {
+    return machine_map[static_cast<std::size_t>(m)];
+  };
   for (const auto& ev : before.comm_events()) {
     if (!kept(ev.from_task) || !kept(ev.to_task)) continue;
-    schedule->add_comm(ev.from_task, ev.to_task, ev.from_machine, ev.to_machine,
-                       ev.start, ev.finish - ev.start, ev.bits, ev.energy);
+    schedule->add_comm(ev.from_task, ev.to_task, to_target(ev.from_machine),
+                       to_target(ev.to_machine), ev.start, ev.finish - ev.start,
+                       ev.bits, ev.energy);
   }
   for (const TaskId t : before.assignment_order()) {
     if (!kept(t)) continue;
     const auto& a = before.assignment(t);
-    schedule->add_assignment(t, a.machine, a.version, a.start, a.finish - a.start,
-                             a.energy);
+    schedule->add_assignment(t, to_target(a.machine), a.version, a.start,
+                             a.finish - a.start, a.energy);
   }
-  const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
+  const auto num_tasks = static_cast<TaskId>(source.num_tasks());
   for (TaskId t = 0; t < num_tasks; ++t) {
     if (!kept(t)) continue;
     const auto& a = before.assignment(t);
-    for (const TaskId child : scenario.dag.children(t)) {
+    const MachineId machine = to_target(a.machine);
+    for (const TaskId child : source.dag.children(t)) {
       if (schedule->is_assigned(child)) continue;
-      const double bits = scenario.edge_bits(t, child, a.version);
+      const double bits = source.edge_bits(t, child, a.version);
       if (bits <= 0.0) continue;
       // A kept task on a departed machine cannot reach here: a data edge to
       // an unmapped child would have invalidated it.
-      const auto& spec = scenario.grid.machine(a.machine);
-      const Cycles wc = sim::worst_case_transfer_cycles(bits, spec, scenario.grid);
+      const auto& spec = target.grid.machine(machine);
+      const Cycles wc = sim::worst_case_transfer_cycles(bits, spec, target.grid);
       const double hold = sim::transfer_energy(spec, wc);
-      if (hold > schedule->energy().available(a.machine) + kLedgerEps) {
+      if (hold > schedule->energy().available(machine) + kLedgerEps) {
         *unaffordable = t;
         return schedule;
       }
-      schedule->ledger().reserve(a.machine, sim::edge_key(t, child), hold);
+      schedule->ledger().reserve(machine, sim::edge_key(t, child), hold);
     }
-  }
-  const auto num_machines = static_cast<MachineId>(scenario.num_machines());
-  for (MachineId m = 0; m < num_machines; ++m) {
-    if (departed[static_cast<std::size_t>(m)] == 0) continue;
-    schedule->block_compute(m, scenario.machine_depart(m), scenario.tau * 8 + 1);
-    schedule->ledger().forfeit(m);
   }
   return schedule;
 }
@@ -191,6 +192,31 @@ obs::TermBreakdown terms_delta(const Weights& weights, const ObjectiveTotals& to
 }
 
 }  // namespace
+
+RecoveryReplay replay_survivors(const workload::Scenario& source,
+                                const sim::Schedule& before,
+                                const std::vector<char>& departed,
+                                std::vector<char> seed,
+                                const workload::Scenario& target,
+                                const std::vector<MachineId>& machine_map) {
+  AHG_EXPECTS_MSG(target.num_tasks() == source.num_tasks(),
+                  "recovery target must carry the same tasks");
+  AHG_EXPECTS_MSG(seed.size() == source.num_tasks() &&
+                      departed.size() == source.num_machines() &&
+                      machine_map.size() == source.num_machines(),
+                  "recovery masks must match the source scenario");
+  // Each round that finds an unaffordable hold invalidates one more task,
+  // which frees energy and may cascade, so this ends within |T| rounds.
+  RecoveryReplay out;
+  for (;;) {
+    out.invalid = compute_invalid(source, before, departed, seed);
+    TaskId unaffordable = kInvalidTask;
+    out.schedule = rebuild_schedule(source, before, out.invalid, target,
+                                    machine_map, &unaffordable);
+    if (unaffordable == kInvalidTask) return out;
+    seed[static_cast<std::size_t>(unaffordable)] = 1;
+  }
+}
 
 ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
                                     const SlrhParams& params,
@@ -237,21 +263,15 @@ ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
   SlrhParams run_params = params;
   if (recovery == ChurnRecovery::Degrade) run_params.secondary_only = &degrade_mask;
 
-  if (sink != nullptr && sink->wants(obs::EventKind::RunBegin)) {
-    obs::Event event;
-    event.kind = obs::EventKind::RunBegin;
-    event.heuristic = heuristic_name;
-    event.alpha = params.weights.alpha;
-    event.beta = params.weights.beta;
-    event.gamma = params.weights.gamma;
-    event.note = "churn=" + std::string(to_string(recovery)) +
-                 ", windows=" + std::to_string(scenario.machine_windows.size());
-    sink->emit(event);
-  }
+  emit_run_begin(sink, heuristic_name, params.weights,
+                 "churn=" + std::string(to_string(recovery)) + ", windows=" +
+                     std::to_string(scenario.machine_windows.size()));
 
   auto schedule = make_schedule(scenario);
   MappingResult& result = outcome.result;
   std::vector<char> departed(scenario.num_machines(), 0);
+  std::vector<MachineId> identity_map(scenario.num_machines());
+  std::iota(identity_map.begin(), identity_map.end(), MachineId{0});
 
   Cycles current = 0;
   std::size_t i = 0;
@@ -280,21 +300,17 @@ ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
 
     const double recovery_t0 = recorder != nullptr ? recorder->now_seconds() : 0.0;
 
-    // Invalidation fixpoint, including affordability: a rebuild that cannot
-    // re-take some kept task's worst-case output hold invalidates that task
-    // too (its machine can no longer guarantee delivery), which frees energy
-    // and may cascade. Each round invalidates at least one more task, so
-    // this terminates within |T| rounds.
-    std::vector<char> unaffordable_seed(scenario.num_tasks(), 0);
-    std::vector<char> invalid;
-    std::shared_ptr<sim::Schedule> rebuilt;
-    for (;;) {
-      invalid = compute_invalid(scenario, *schedule, departed, unaffordable_seed);
-      TaskId unaffordable = kInvalidTask;
-      rebuilt = rebuild_schedule(scenario, *schedule, invalid, departed,
-                                 &unaffordable);
-      if (unaffordable == kInvalidTask) break;
-      unaffordable_seed[static_cast<std::size_t>(unaffordable)] = 1;
+    auto [invalid, rebuilt] =
+        replay_survivors(scenario, *schedule, departed,
+                         std::vector<char>(scenario.num_tasks(), 0), scenario,
+                         identity_map);
+    // Seal every departed machine: compute blocked past any reachable clock
+    // (defense in depth — the sweep already skips absentees) and the
+    // stranded battery forfeited.
+    for (MachineId m = 0; m < num_machines; ++m) {
+      if (departed[static_cast<std::size_t>(m)] == 0) continue;
+      rebuilt->block_compute(m, scenario.machine_depart(m), scenario.tau * 8 + 1);
+      rebuilt->ledger().forfeit(m);
     }
 
     // Batch tallies: orphans are the unfinished subtasks on the machines
@@ -383,30 +399,9 @@ ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
 
   drive_slrh(scenario, run_params, *schedule, current, scenario.tau + 1, result);
 
-  result.wall_seconds = timer.seconds();
-  result.complete = schedule->complete();
-  result.assigned = schedule->num_assigned();
-  result.t100 = schedule->t100();
-  result.aet = schedule->aet();
-  result.tec = schedule->tec();
-  result.within_tau = schedule->aet() <= scenario.tau;
-  result.schedule = std::move(schedule);
-
-  if (sink != nullptr && sink->wants(obs::EventKind::RunEnd)) {
-    obs::Event event;
-    event.kind = obs::EventKind::RunEnd;
-    event.heuristic = heuristic_name;
-    event.alpha = params.weights.alpha;
-    event.beta = params.weights.beta;
-    event.gamma = params.weights.gamma;
-    event.t100 = result.t100;
-    event.assigned = result.assigned;
-    event.aet = result.aet;
-    event.feasible = result.feasible();
-    event.wall_seconds = result.wall_seconds;
-    event.note = "departures=" + std::to_string(outcome.departures_processed);
-    sink->emit(event);
-  }
+  result = finalize_result(scenario, std::move(schedule), timer, std::move(result));
+  emit_run_end(sink, heuristic_name, params.weights, result,
+               "departures=" + std::to_string(outcome.departures_processed));
   return outcome;
 }
 

@@ -28,6 +28,7 @@
 // argument under volatility.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/result.hpp"
@@ -60,6 +61,29 @@ struct ChurnRunOutcome {
 ChurnRunOutcome run_slrh_with_churn(const workload::Scenario& scenario,
                                     const SlrhParams& params,
                                     ChurnRecovery recovery = ChurnRecovery::Remap);
+
+/// Mid-run recovery, shared by run_slrh_with_churn and run_slrh_with_loss
+/// (core/adaptive.hpp). Invalidation starts from `seed` (per task, non-zero
+/// = lost) plus the unfinished subtasks on `departed` machines, applies the
+/// output-survival rule above and cascades to every mapped descendant. The
+/// survivors are replayed onto a fresh schedule over `target` at their
+/// original times, machine ids translated by `machine_map` (source id ->
+/// target id: identity under churn, shift-down past a lost machine), and
+/// each kept task re-takes the worst-case hold it owes a data edge to an
+/// unmapped child, priced on the target grid. A hold its machine can no
+/// longer afford invalidates that task too, until every hold is backed.
+/// Departed machines are not sealed here; the churn driver does that.
+struct RecoveryReplay {
+  std::vector<char> invalid;                ///< per task: its work was lost
+  std::shared_ptr<sim::Schedule> schedule;  ///< the survivors over `target`
+};
+
+RecoveryReplay replay_survivors(const workload::Scenario& source,
+                                const sim::Schedule& before,
+                                const std::vector<char>& departed,
+                                std::vector<char> seed,
+                                const workload::Scenario& target,
+                                const std::vector<MachineId>& machine_map);
 
 /// What a fixed (churn-blind) schedule actually achieves under the
 /// scenario's presence windows. A subtask completes iff it was assigned, its

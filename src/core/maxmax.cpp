@@ -83,18 +83,8 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
       params.sink != nullptr && params.sink->wants(obs::EventKind::MapDecision);
   obs::FlightRecorder* recorder = params.recorder;
 
-  if (params.sink != nullptr && params.sink->wants(obs::EventKind::RunBegin)) {
-    obs::Event event;
-    event.kind = obs::EventKind::RunBegin;
-    event.heuristic = "Max-Max";
-    event.alpha = params.weights.alpha;
-    event.beta = params.weights.beta;
-    event.gamma = params.weights.gamma;
-    event.note = "|T|=" + std::to_string(scenario.num_tasks()) +
-                 ", machines=" + std::to_string(scenario.num_machines()) +
-                 ", tau=" + std::to_string(scenario.tau);
-    params.sink->emit(event);
-  }
+  emit_run_begin(params.sink, "Max-Max", params.weights,
+                 scenario_shape_note(scenario));
 
   MappingResult result;
 
@@ -303,30 +293,12 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
       frame.wall_seconds = now;
       frame.timestep_seconds = now - round_t0;
       frame.pool_build_seconds = now - round_t0;  // the round IS the selection
-      const ObjectiveTerms terms = objective_terms(
-          params.weights,
-          ObjectiveState{schedule->t100(), schedule->tec(), schedule->aet()},
-          totals, params.aet_sign);
-      frame.term_t100 = terms.t100;
-      frame.term_tec = terms.tec;
-      frame.term_aet = terms.aet;
-      frame.objective = terms.value;
-      frame.assigned = schedule->num_assigned();
-      frame.t100 = schedule->t100();
-      frame.tec = schedule->tec();
-      frame.aet = schedule->aet();
+      fill_frame_state(frame, *schedule, params.weights, totals, params.aet_sign);
       frame.pools_built = 1;
       frame.maps = 1;
       frame.last_pool_size = pool_size;
       frame.frontier_ready = frontier.size();
-      const sim::EnergyLedger& energy = schedule->energy();
-      for (MachineId m = 0; m < num_machines; ++m) {
-        const double capacity = energy.capacity(m);
-        frame.battery_fraction.push_back(
-            capacity > 0.0 ? energy.available(m) / capacity : 0.0);
-        frame.busy_until.push_back(schedule->machine_ready(m));
-      }
-      recorder->record(std::move(frame));
+      recorder->record(frame);
     }
   }
 
@@ -334,29 +306,8 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
     recorder->add_span("run:Max-Max", run_t0, recorder->now_seconds() - run_t0);
   }
 
-  result.wall_seconds = timer.seconds();
-  result.complete = schedule->complete();
-  result.assigned = schedule->num_assigned();
-  result.t100 = schedule->t100();
-  result.aet = schedule->aet();
-  result.tec = schedule->tec();
-  result.within_tau = schedule->aet() <= scenario.tau;
-  result.schedule = std::move(schedule);
-
-  if (params.sink != nullptr && params.sink->wants(obs::EventKind::RunEnd)) {
-    obs::Event event;
-    event.kind = obs::EventKind::RunEnd;
-    event.heuristic = "Max-Max";
-    event.alpha = params.weights.alpha;
-    event.beta = params.weights.beta;
-    event.gamma = params.weights.gamma;
-    event.t100 = result.t100;
-    event.assigned = result.assigned;
-    event.aet = result.aet;
-    event.feasible = result.feasible();
-    event.wall_seconds = result.wall_seconds;
-    params.sink->emit(event);
-  }
+  result = finalize_result(scenario, std::move(schedule), timer, std::move(result));
+  emit_run_end(params.sink, "Max-Max", params.weights, result);
   return result;
 }
 

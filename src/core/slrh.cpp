@@ -500,18 +500,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     frame.wall_seconds = now;
     frame.timestep_seconds = step_timed ? now - step_t0 : 0.0;
     frame.pool_build_seconds = step_pool_seconds;
-    const ObjectiveTerms terms = objective_terms(
-        params.weights,
-        ObjectiveState{schedule.t100(), schedule.tec(), schedule.aet()}, totals,
-        params.aet_sign);
-    frame.term_t100 = terms.t100;
-    frame.term_tec = terms.tec;
-    frame.term_aet = terms.aet;
-    frame.objective = terms.value;
-    frame.assigned = schedule.num_assigned();
-    frame.t100 = schedule.t100();
-    frame.tec = schedule.tec();
-    frame.aet = schedule.aet();
+    fill_frame_state(frame, schedule, params.weights, totals, params.aet_sign);
     frame.pools_built = step_pools;
     frame.maps = step_maps;
     frame.last_pool_size = step_last_pool;
@@ -520,17 +509,6 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     frame.probes_pruned = step_probes.pruned;
     frame.frontier_ready = frontier.ready().size();
     frame.frontier_unreleased = frontier.num_unreleased();
-    const sim::EnergyLedger& energy = schedule.energy();
-    frame.battery_fraction.clear();
-    frame.busy_until.clear();
-    frame.battery_fraction.reserve(static_cast<std::size_t>(num_machines));
-    frame.busy_until.reserve(static_cast<std::size_t>(num_machines));
-    for (MachineId m = 0; m < num_machines; ++m) {
-      const double capacity = energy.capacity(m);
-      frame.battery_fraction.push_back(
-          capacity > 0.0 ? energy.available(m) / capacity : 0.0);
-      frame.busy_until.push_back(schedule.machine_ready(m));
-    }
     recorder->record(frame);
   };
 
@@ -657,19 +635,9 @@ MappingResult run_slrh(const workload::Scenario& scenario, const SlrhParams& par
   params.validate();
   scenario.validate();
   const Stopwatch timer;
-
-  if (params.sink != nullptr && params.sink->wants(obs::EventKind::RunBegin)) {
-    obs::Event event;
-    event.kind = obs::EventKind::RunBegin;
-    event.heuristic = to_string(params.variant);
-    event.alpha = params.weights.alpha;
-    event.beta = params.weights.beta;
-    event.gamma = params.weights.gamma;
-    event.note = "|T|=" + std::to_string(scenario.num_tasks()) +
-                 ", machines=" + std::to_string(scenario.num_machines()) +
-                 ", tau=" + std::to_string(scenario.tau);
-    params.sink->emit(event);
-  }
+  const std::string heuristic = to_string(params.variant);
+  emit_run_begin(params.sink, heuristic, params.weights,
+                 scenario_shape_note(scenario));
 
   auto schedule = make_schedule(scenario);
   MappingResult result;
@@ -678,33 +646,12 @@ MappingResult run_slrh(const workload::Scenario& scenario, const SlrhParams& par
   drive_slrh(scenario, params, *schedule, /*start_clock=*/0,
              /*end_clock=*/scenario.tau + 1, result);
   if (params.recorder != nullptr) {
-    params.recorder->add_span("run:" + to_string(params.variant), run_t0,
+    params.recorder->add_span("run:" + heuristic, run_t0,
                               params.recorder->now_seconds() - run_t0);
   }
 
-  result.wall_seconds = timer.seconds();
-  result.complete = schedule->complete();
-  result.assigned = schedule->num_assigned();
-  result.t100 = schedule->t100();
-  result.aet = schedule->aet();
-  result.tec = schedule->tec();
-  result.within_tau = schedule->aet() <= scenario.tau;
-  result.schedule = std::move(schedule);
-
-  if (params.sink != nullptr && params.sink->wants(obs::EventKind::RunEnd)) {
-    obs::Event event;
-    event.kind = obs::EventKind::RunEnd;
-    event.heuristic = to_string(params.variant);
-    event.alpha = params.weights.alpha;
-    event.beta = params.weights.beta;
-    event.gamma = params.weights.gamma;
-    event.t100 = result.t100;
-    event.assigned = result.assigned;
-    event.aet = result.aet;
-    event.feasible = result.feasible();
-    event.wall_seconds = result.wall_seconds;
-    params.sink->emit(event);
-  }
+  result = finalize_result(scenario, std::move(schedule), timer, std::move(result));
+  emit_run_end(params.sink, heuristic, params.weights, result);
   return result;
 }
 

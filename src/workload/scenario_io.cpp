@@ -1,10 +1,12 @@
 #include "workload/scenario_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "support/contract.hpp"
@@ -19,6 +21,46 @@ constexpr const char* kHeader = "adhoc-grid-scenario v1";
   throw PreconditionError("scenario parse error at line " + std::to_string(line) +
                           ": " + message);
 }
+
+/// One whitespace-separated field. Counts and indices (std::size_t) take
+/// digits only: no sign, so "-4" cannot wrap to 2^64 - 4, and no overflow.
+bool read_field(std::istream& is, std::size_t& out) {
+  std::string token;
+  if (!(is >> token)) return false;
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, out);
+  return ec == std::errc{} && ptr == last;
+}
+
+template <typename T>
+bool read_field(std::istream& is, T& out) {
+  return static_cast<bool>(is >> out);
+}
+
+/// Read exactly `fields` from the rest of a line: a missing, malformed or
+/// extra field ("tasks 4 5", "etc 0 0 7.38xyz") fails the line as a whole.
+template <typename... Fields>
+void read_fields(std::istream& is, std::size_t line_no, const char* usage,
+                 Fields&... fields) {
+  std::string rest;
+  if (!(read_field(is, fields) && ...) || is >> rest) {
+    parse_fail(line_no, std::string("expected '") + usage + "'");
+  }
+}
+
+/// A body line, parsed and range-checked but not yet applied: nothing is
+/// sized from the tasks/machines header until the etc lines that must back
+/// it have been counted.
+struct EtcLine {
+  std::size_t task, machine;
+  double seconds;
+  std::size_t line_no;
+};
+struct EdgeLine {
+  std::size_t parent, child;
+  double bits;
+  std::size_t line_no;
+};
 
 }  // namespace
 
@@ -87,28 +129,25 @@ Scenario read_scenario(std::istream& is) {
   next_line(true);
   if (line != kHeader) parse_fail(line_no, "missing header '" + std::string(kHeader) + "'");
 
-  // --- machines ---------------------------------------------------------------
-  next_line(true);
-  std::size_t num_machines = 0;
-  {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> num_machines) || kw != "machines" || num_machines == 0) {
-      parse_fail(line_no, "expected 'machines <count>'");
-    }
-  }
-  std::vector<sim::MachineSpec> machines;
-  for (std::size_t j = 0; j < num_machines; ++j) {
+  // The next required line: `keyword` followed by exactly `fields`.
+  const auto read_line = [&](const char* keyword, const char* usage, auto&... fields) {
     next_line(true);
     std::istringstream ss(line);
     std::string kw;
+    read_fields(ss, line_no, usage, kw, fields...);
+    if (kw != keyword) parse_fail(line_no, std::string("expected '") + usage + "'");
+  };
+
+  // --- machines ---------------------------------------------------------------
+  std::size_t num_machines = 0;
+  read_line("machines", "machines <count>", num_machines);
+  if (num_machines == 0) parse_fail(line_no, "machine count must be positive");
+  std::vector<sim::MachineSpec> machines;
+  for (std::size_t j = 0; j < num_machines; ++j) {
     std::string cls;
     sim::MachineSpec spec;
-    if (!(ss >> kw >> cls >> spec.battery_capacity >> spec.compute_power >>
-          spec.transmit_power >> spec.bandwidth_bps) ||
-        kw != "machine") {
-      parse_fail(line_no, "expected 'machine <class> <B> <E> <C> <BW>'");
-    }
+    read_line("machine", "machine <class> <B> <E> <C> <BW>", cls, spec.battery_capacity,
+              spec.compute_power, spec.transmit_power, spec.bandwidth_bps);
     if (cls == "fast") spec.cls = sim::MachineClass::Fast;
     else if (cls == "slow") spec.cls = sim::MachineClass::Slow;
     else parse_fail(line_no, "machine class must be fast|slow, got '" + cls + "'");
@@ -120,41 +159,26 @@ Scenario read_scenario(std::istream& is) {
   }
 
   // --- sizes / constraints -----------------------------------------------------
-  next_line(true);
   std::size_t num_tasks = 0;
-  {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> num_tasks) || kw != "tasks" || num_tasks == 0) {
-      parse_fail(line_no, "expected 'tasks <count>'");
-    }
-  }
-  next_line(true);
+  read_line("tasks", "tasks <count>", num_tasks);
+  const std::size_t tasks_line_no = line_no;
+  if (num_tasks == 0) parse_fail(line_no, "task count must be positive");
   Cycles tau = 0;
-  {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> tau) || kw != "tau" || tau <= 0) {
-      parse_fail(line_no, "expected 'tau <cycles>'");
-    }
-  }
-  next_line(true);
+  read_line("tau", "tau <cycles>", tau);
+  if (tau <= 0) parse_fail(line_no, "tau must be positive");
   VersionModel versions;
-  {
-    std::istringstream ss(line);
-    std::string kw;
-    if (!(ss >> kw >> versions.secondary_time_factor >> versions.secondary_data_factor) ||
-        kw != "versions") {
-      parse_fail(line_no, "expected 'versions <time_factor> <data_factor>'");
-    }
+  read_line("versions", "versions <time_factor> <data_factor>",
+            versions.secondary_time_factor, versions.secondary_data_factor);
+  try {
+    versions.validate();
+  } catch (const PreconditionError& error) {
+    parse_fail(line_no, error.what());
   }
 
-  // --- etc entries and edges ----------------------------------------------------
-  EtcMatrix etc(num_tasks, num_machines);
-  std::vector<bool> seen(num_tasks * num_machines, false);
-  Dag dag(num_tasks);
-  DataSizes data;
-  std::vector<Cycles> releases;
+  // --- etc entries, edges, releases, outages ------------------------------------
+  std::vector<EtcLine> etc_lines;
+  std::vector<EdgeLine> edge_lines;
+  std::vector<std::pair<std::size_t, Cycles>> release_lines;
   std::vector<Scenario::LinkOutage> outages;
 
   while (next_line(false)) {
@@ -162,53 +186,34 @@ Scenario read_scenario(std::istream& is) {
     std::string kw;
     ss >> kw;
     if (kw == "etc") {
-      long long task = -1;
-      long long machine = -1;
-      double secs = 0.0;
-      if (!(ss >> task >> machine >> secs)) parse_fail(line_no, "malformed etc line");
-      if (task < 0 || static_cast<std::size_t>(task) >= num_tasks ||
-          machine < 0 || static_cast<std::size_t>(machine) >= num_machines) {
+      EtcLine e{0, 0, 0.0, line_no};
+      read_fields(ss, line_no, "etc <task> <machine> <seconds>", e.task, e.machine,
+                  e.seconds);
+      if (e.task >= num_tasks || e.machine >= num_machines) {
         parse_fail(line_no, "etc indices out of range");
       }
-      if (secs <= 0.0) parse_fail(line_no, "etc seconds must be positive");
-      const std::size_t idx =
-          static_cast<std::size_t>(task) * num_machines + static_cast<std::size_t>(machine);
-      if (seen[idx]) parse_fail(line_no, "duplicate etc entry");
-      seen[idx] = true;
-      etc.set_seconds(static_cast<TaskId>(task), static_cast<MachineId>(machine), secs);
+      if (e.seconds <= 0.0) parse_fail(line_no, "etc seconds must be positive");
+      etc_lines.push_back(e);
     } else if (kw == "edge") {
-      long long parent = -1;
-      long long child = -1;
-      double bits = 0.0;
-      if (!(ss >> parent >> child >> bits)) parse_fail(line_no, "malformed edge line");
-      if (parent < 0 || static_cast<std::size_t>(parent) >= num_tasks ||
-          child < 0 || static_cast<std::size_t>(child) >= num_tasks) {
+      EdgeLine e{0, 0, 0.0, line_no};
+      read_fields(ss, line_no, "edge <parent> <child> <bits>", e.parent, e.child, e.bits);
+      if (e.parent >= num_tasks || e.child >= num_tasks) {
         parse_fail(line_no, "edge indices out of range");
       }
-      if (bits < 0.0) parse_fail(line_no, "edge bits must be non-negative");
-      if (parent == child || dag.has_edge(static_cast<TaskId>(parent),
-                                          static_cast<TaskId>(child))) {
-        parse_fail(line_no, "invalid or duplicate edge");
-      }
-      dag.add_edge(static_cast<TaskId>(parent), static_cast<TaskId>(child));
-      data.set_bits(static_cast<TaskId>(parent), static_cast<TaskId>(child), bits);
+      if (e.bits < 0.0) parse_fail(line_no, "edge bits must be non-negative");
+      edge_lines.push_back(e);
     } else if (kw == "release") {
-      long long task = -1;
+      std::size_t task = 0;
       Cycles when = 0;
-      if (!(ss >> task >> when)) parse_fail(line_no, "malformed release line");
-      if (task < 0 || static_cast<std::size_t>(task) >= num_tasks || when < 0) {
-        parse_fail(line_no, "release out of range");
-      }
-      if (releases.empty()) releases.assign(num_tasks, 0);
-      releases[static_cast<std::size_t>(task)] = when;
+      read_fields(ss, line_no, "release <task> <cycles>", task, when);
+      if (task >= num_tasks || when < 0) parse_fail(line_no, "release out of range");
+      release_lines.emplace_back(task, when);
     } else if (kw == "outage") {
       Scenario::LinkOutage outage;
-      long long machine = -1;
-      if (!(ss >> machine >> outage.start >> outage.duration)) {
-        parse_fail(line_no, "malformed outage line");
-      }
-      if (machine < 0 || static_cast<std::size_t>(machine) >= num_machines ||
-          outage.start < 0 || outage.duration <= 0) {
+      std::size_t machine = 0;
+      read_fields(ss, line_no, "outage <machine> <start> <duration>", machine,
+                  outage.start, outage.duration);
+      if (machine >= num_machines || outage.start < 0 || outage.duration <= 0) {
         parse_fail(line_no, "outage out of range");
       }
       outage.machine = static_cast<MachineId>(machine);
@@ -218,14 +223,38 @@ Scenario read_scenario(std::istream& is) {
     }
   }
 
-  for (std::size_t idx = 0; idx < seen.size(); ++idx) {
-    if (!seen[idx]) {
-      parse_fail(line_no, "missing etc entry for task " +
-                              std::to_string(idx / num_machines) + ", machine " +
-                              std::to_string(idx % num_machines));
+  // Every (task, machine) cell needs its own etc line, so the header is
+  // backed only when there are at least tasks x machines of them (compared
+  // by division: the product of two header values may overflow).
+  if (num_tasks > etc_lines.size() / num_machines) {
+    parse_fail(tasks_line_no, "tasks x machines exceeds the " +
+                                  std::to_string(etc_lines.size()) + " etc line(s)");
+  }
+  // At least tasks x machines in-range lines: any surplus is a duplicate (a
+  // cell already set, as entries are positive), and with none every cell is
+  // covered.
+  EtcMatrix etc(num_tasks, num_machines);
+  for (const EtcLine& e : etc_lines) {
+    const auto task = static_cast<TaskId>(e.task);
+    const auto machine = static_cast<MachineId>(e.machine);
+    if (etc.seconds(task, machine) > 0.0) parse_fail(e.line_no, "duplicate etc entry");
+    etc.set_seconds(task, machine, e.seconds);
+  }
+  Dag dag(num_tasks);
+  DataSizes data;
+  for (const EdgeLine& e : edge_lines) {
+    const auto parent = static_cast<TaskId>(e.parent);
+    const auto child = static_cast<TaskId>(e.child);
+    if (parent == child || dag.has_edge(parent, child)) {
+      parse_fail(e.line_no, "invalid or duplicate edge");
     }
+    dag.add_edge(parent, child);
+    data.set_bits(parent, child, e.bits);
   }
   if (!dag.is_acyclic()) parse_fail(line_no, "edge set contains a cycle");
+  std::vector<Cycles> releases;
+  if (!release_lines.empty()) releases.assign(num_tasks, 0);
+  for (const auto& [task, when] : release_lines) releases[task] = when;
 
   Scenario scenario{sim::GridConfig(std::move(machines)), std::move(dag),
                     std::move(etc), std::move(data), versions, tau,

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <optional>
+#include <string>
+
 #include "core/validate.hpp"
 #include "tests/scenario_fixtures.hpp"
 
@@ -10,6 +14,13 @@ namespace {
 
 workload::Scenario base_scenario(std::size_t num_tasks = 96) {
   return test::small_suite_scenario(sim::GridCase::A, num_tasks);
+}
+
+ValidateOptions lax_options() {
+  ValidateOptions lax;
+  lax.require_complete = false;
+  lax.require_within_tau = false;
+  return lax;
 }
 
 TEST(AdaptAlpha, ShrinksWithLostCapacity) {
@@ -51,11 +62,8 @@ TEST(LossRun, ProducesValidScheduleOnDegradedGrid) {
   event.time = s.tau / 4;
   const auto outcome = run_slrh_with_loss(s, Weights::make(0.6, 0.3), event);
   EXPECT_EQ(outcome.degraded_scenario.num_machines(), s.num_machines() - 1);
-  ValidateOptions lax;
-  lax.require_complete = false;
-  lax.require_within_tau = false;
-  const auto report =
-      validate_schedule(outcome.degraded_scenario, *outcome.result.schedule, lax);
+  const auto report = validate_schedule(outcome.degraded_scenario,
+                                        *outcome.result.schedule, lax_options());
   EXPECT_TRUE(report.ok()) << report.str();
 }
 
@@ -139,6 +147,61 @@ TEST(LossRun, AdaptFlagControlsWeights) {
   const auto frozen = run_slrh_with_loss(s, w, event, SlrhClockParams{}, false);
   EXPECT_LT(adapted.adapted_weights.alpha, w.alpha);
   EXPECT_DOUBLE_EQ(frozen.adapted_weights.alpha, w.alpha);
+}
+
+TEST(LossRun, UnaffordableHoldIsDiscardedNotThrown) {
+  // Machine 2's loss at 3/8 tau leaves a kept task whose worst-case output
+  // hold its machine can no longer back (the original hold was settled
+  // cheaply and the headroom spent since). The shared recovery discards it
+  // and its mapped descendants instead of overdrawing the battery.
+  const auto s = base_scenario();
+  MachineLossEvent event;
+  event.machine = 2;
+  event.time = s.tau * 3 / 8;
+  std::optional<LossRunOutcome> outcome;
+  ASSERT_NO_THROW(outcome.emplace(run_slrh_with_loss(s, Weights::make(0.9, 0.05), event)));
+  const auto report = validate_schedule(outcome->degraded_scenario,
+                                        *outcome->result.schedule, lax_options());
+  EXPECT_TRUE(report.ok()) << report.str();
+}
+
+TEST(LossRun, EveryLossPointValidates) {
+  const workload::Scenario scenarios[] = {
+      base_scenario(), test::small_suite_scenario(sim::GridCase::A, 48, 20040426, 1, 0)};
+  const Weights weights[] = {Weights::make(0.6, 0.3), Weights::make(0.9, 0.05)};
+  std::size_t runs = 0;
+  for (const auto& s : scenarios) {
+    for (std::size_t m = 0; m < s.num_machines(); ++m) {
+      for (Cycles q = 1; q <= 7; ++q) {
+        for (const SlrhVariant variant : {SlrhVariant::V1, SlrhVariant::V3}) {
+          for (const Weights& w : weights) {
+            ++runs;
+            MachineLossEvent event;
+            event.machine = static_cast<MachineId>(m);
+            event.time = s.tau * q / 8;
+            SlrhClockParams clock;
+            clock.variant = variant;
+            const std::string where = "|T|=" + std::to_string(s.num_tasks()) +
+                                      " machine " + std::to_string(m) + " at " +
+                                      std::to_string(q) + "/8 tau, " +
+                                      to_string(variant) + ", alpha " +
+                                      std::to_string(w.alpha);
+            std::optional<LossRunOutcome> outcome;
+            try {
+              outcome.emplace(run_slrh_with_loss(s, w, event, clock));
+            } catch (const std::exception& error) {
+              ADD_FAILURE() << where << " threw: " << error.what();
+              continue;
+            }
+            const auto report = validate_schedule(
+                outcome->degraded_scenario, *outcome->result.schedule, lax_options());
+            EXPECT_TRUE(report.ok()) << where << ": " << report.str();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 224u);
 }
 
 TEST(LossRun, RejectsBadEvents) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/contract.hpp"
 #include "tests/scenario_fixtures.hpp"
@@ -124,6 +127,105 @@ TEST(ScenarioIo, ErrorMentionsLineNumber) {
   } catch (const PreconditionError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
   }
+}
+
+/// Parse `input`, expecting a PreconditionError located at `line`.
+void expect_error_at_line(const std::string& input, int line) {
+  std::istringstream stream(input);
+  try {
+    read_scenario(stream);
+    FAIL() << "accepted:\n" << input;
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// A one-machine header whose tasks line (line 4) is `tasks_line`.
+std::string header_with(const std::string& tasks_line) {
+  return "adhoc-grid-scenario v1\n"
+         "machines 1\nmachine fast 580 0.1 0.2 8e6\n" +
+         tasks_line + "\ntau 100\nversions 0.1 0.1\n";
+}
+
+TEST(ScenarioIo, RejectsTrailingFieldOnEtcLine) {
+  expect_error_at_line(header_with("tasks 1") + "etc 0 0 7.38 junk\n", 7);
+}
+
+TEST(ScenarioIo, RejectsTrailingCharactersOnEtcNumber) {
+  expect_error_at_line(header_with("tasks 1") + "etc 0 0 7.38xyz\n", 7);
+}
+
+TEST(ScenarioIo, RejectsTrailingFieldOnTasksLine) {
+  expect_error_at_line(header_with("tasks 4 5") + "etc 0 0 7.38\n", 4);
+}
+
+TEST(ScenarioIo, RejectsTaskCountNotBackedByEtcLines) {
+  // Sized only after the etc lines are counted: a located error, not a
+  // multi-terabyte allocation.
+  expect_error_at_line(header_with("tasks 4000000000000") + "etc 0 0 7.38\n", 4);
+}
+
+TEST(ScenarioIo, RejectsSignedTaskCount) {
+  expect_error_at_line(header_with("tasks -4") + "etc 0 0 7.38\n", 4);
+}
+
+TEST(ScenarioIo, EveryMutatedLineIsAcceptedOrRejectedWithItsLine) {
+  // Deterministic mutation sweep: each field of each line of a valid file
+  // (releases and outages included) replaced by a hostile token, dropped,
+  // or followed by an extra one. The reader either accepts the result (a
+  // valid scenario) or raises a PreconditionError naming that line.
+  Scenario scenario = test::small_suite_scenario(sim::GridCase::A, 6);
+  scenario.releases.assign(scenario.num_tasks(), 0);
+  scenario.releases[2] = 50;
+  scenario.link_outages.push_back({1, 10, 5});
+  std::stringstream buffer;
+  write_scenario(buffer, scenario);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(buffer, line);) lines.push_back(line);
+
+  const std::vector<std::string> tokens = {
+      "-1", "0", "-0", "+3", "3.5", "1e3", "1e400", "nan", "x", "0x10",
+      "2147483648", "9223372036854775807", "18446744073709551615",
+      "99999999999999999999", ""};
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::vector<std::string> fields;
+    std::istringstream split(lines[i]);
+    for (std::string field; split >> field;) fields.push_back(field);
+    std::vector<std::string> mutants = {lines[i] + " 7"};
+    for (std::size_t k = 0; k < fields.size(); ++k) {
+      for (const std::string& token : tokens) {
+        std::string mutant;
+        for (std::size_t f = 0; f < fields.size(); ++f) {
+          const std::string& field = f == k ? token : fields[f];
+          if (!field.empty()) mutant += (mutant.empty() ? "" : " ") + field;
+        }
+        mutants.push_back(mutant);
+      }
+    }
+    for (const std::string& mutant : mutants) {
+      std::string text;
+      for (std::size_t j = 0; j < lines.size(); ++j) {
+        text += (j == i ? mutant : lines[j]) + "\n";
+      }
+      std::istringstream input(text);
+      try {
+        read_scenario(input).validate();
+      } catch (const PreconditionError& e) {
+        ++rejected;
+        // A rejection names a line: the mutated one, or (for a count or a
+        // DAG property) the header or last line the check reports.
+        EXPECT_NE(std::string(e.what()).find("line "), std::string::npos)
+            << "line " << i + 1 << " as '" << mutant << "': " << e.what();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "line " << i + 1 << " as '" << mutant
+                      << "' escaped as a non-precondition error: " << e.what();
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(ScenarioIo, FileRoundTrip) {
