@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "support/chrome_trace.hpp"
+#include "support/contract.hpp"
 #include "support/env.hpp"
 #include "support/jsonl.hpp"
 #include "support/metrics.hpp"
@@ -283,6 +284,29 @@ class BenchReport {
       hist->observe(timer.seconds());
       return result;
     }
+  }
+
+  /// Run `fn` `reps` times and record the fastest wall time as the single
+  /// observation of "bench.<section>_seconds". Returns the fastest run's
+  /// result.
+  template <typename F>
+  auto min_timed_section(const std::string& section, int reps, F&& fn) {
+    AHG_EXPECTS_MSG(reps >= 1, "min_timed_section needs at least one run");
+    obs::Histogram* hist =
+        obs::phase_histogram(&metrics_, "bench." + section + "_seconds");
+    const Stopwatch first;
+    auto best_result = fn();
+    double best = first.seconds();
+    for (int rep = 1; rep < reps; ++rep) {
+      const Stopwatch timer;
+      auto result = fn();
+      if (const double elapsed = timer.seconds(); elapsed < best) {
+        best = elapsed;
+        best_result = std::move(result);
+      }
+    }
+    hist->observe(best);
+    return best_result;
   }
 
   /// Fold externally collected metrics in (e.g. a CaseHeuristicSummary's

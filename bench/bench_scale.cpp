@@ -143,17 +143,6 @@ int main(int argc, char** argv) {
                  std::to_string(shape.num_machines);
   }
 
-  // The pool-reuse runs are the default; AHG_SCALE_SERIAL_REF=1 adds a
-  // rebuild-every-scope re-run of every variant (pool_reuse off) plus a
-  // bench.<variant>_sweep_speedup gauge. Defaults on for the gated
-  // smoke/default tiers — where the serial run is minutes, not hours — and
-  // off for the large/1M shapes whose serial reference would blow the CI
-  // window.
-  const bool default_serial_ref =
-      !overridden && repro_scale_from_env() != ReproScale::Large;
-  const bool serial_ref =
-      env_int("AHG_SCALE_SERIAL_REF", default_serial_ref ? 1 : 0) != 0;
-
   std::cout << "=== bench_scale (" << bench_name << ") ===\n"
             << build_description() << ", jobs=" << global_pool_jobs() << "\n"
             << "|T|=" << shape.num_tasks << ", |M|=" << shape.num_machines
@@ -230,27 +219,6 @@ int main(int argc, char** argv) {
     std::cout << name << ": validator "
               << (validation.ok() ? std::string("ok") : "FAILED\n" + validation.str())
               << "\n";
-
-    if (serial_ref) {
-      core::SlrhParams serial = params;
-      serial.sink = nullptr;  // time the bare rebuild loop, no telemetry
-      serial.pool_reuse = false;
-      session.set_phase(name + "_serial_run");
-      const auto serial_result = report.timed_section(
-          name + "_serial_run", [&] { return core::run_slrh(scenario, serial); });
-      AHG_EXPECTS_MSG(serial_result.assigned == result.assigned &&
-                          serial_result.t100 == result.t100 &&
-                          serial_result.tec == result.tec,
-                      "rebuild-every-scope run diverged from the reuse run");
-      const double speedup =
-          result.wall_seconds > 0.0
-              ? serial_result.wall_seconds / result.wall_seconds
-              : 0.0;
-      report.metrics().gauge("bench." + name + "_sweep_speedup").set(speedup);
-      std::cout << name << " rebuild every scope: " << serial_result.wall_seconds
-                << " s vs " << result.wall_seconds << " s with reuse ("
-                << speedup << "x)\n";
-    }
   }
 
   session.set_phase("done");

@@ -394,8 +394,8 @@ int main(int argc, char** argv) {
               << " map(s), " << active_ticks << "/" << group.size()
               << " sampled ticks committed a map, pool-build time "
               << format_fixed(pool_seconds * 1e3, 3) << " ms\n";
-    // Re-planning economy (pool reuse): zero on recordings made with
-    // pool_reuse off, and on pre-reuse recordings.
+    // Re-planning economy (pool reuse): zero on Max-Max and on recordings
+    // that predate the reuse counter.
     if (total_reused > 0) {
       std::cout << "         re-planning: " << total_pools << " pool(s) built vs "
                 << total_reused << " reused\n";

@@ -40,8 +40,9 @@ struct MappingResult {
   std::size_t iterations = 0;
   std::size_t pools_built = 0;
   /// (machine, timestep) scopes skipped via a cached cross-tick verdict
-  /// instead of rebuilding the pool (SLRH only; see SlrhParams::pool_reuse).
-  /// pools_built + pools_reused equals the pool count with reuse off.
+  /// instead of rebuilding the pool (SLRH only; see core/sweep.hpp).
+  /// pools_built + pools_reused equals the reference driver's pool count
+  /// (tests/oracles).
   std::size_t pools_reused = 0;
   /// Always zero: the speculative parallel sweep that counted discarded
   /// pools here is gone. The field stays only because the benchmark program

@@ -30,23 +30,17 @@ std::string to_string(SlrhVariant variant) {
 
 namespace {
 
-/// Telemetry handles for one drive_slrh window, all nullable. Resolved once
-/// per call so the inner loop never touches the registry's name map. With
-/// params.sink == nullptr every member stays null and each instrumentation
-/// point reduces to a single predictable branch.
+/// Phase-histogram handles for one drive_slrh window, all nullable.
+/// Resolved once per call so the inner loop never touches the registry's
+/// name map. With params.sink == nullptr every member stays null and each
+/// instrumentation point reduces to a single predictable branch.
 struct SlrhTelemetry {
   obs::Sink* sink = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;
   obs::Histogram* pool_build = nullptr;      ///< build_pool wall time
   obs::Histogram* scoring = nullptr;         ///< scoring share of a pool build
   obs::Histogram* placement = nullptr;       ///< map_first_startable wall time
   obs::Histogram* earliest_start = nullptr;  ///< plan_placement share of placement
-  obs::Counter* pools = nullptr;
-  obs::Counter* maps = nullptr;
-  obs::Counter* timesteps = nullptr;
-  obs::Counter* reuse_hits = nullptr;    ///< machine scopes skipped via verdicts
-  obs::Counter* reuse_misses = nullptr;  ///< scopes that had to build
-  obs::Counter* probes = nullptr;        ///< plan_placement calls
-  obs::Counter* pruned = nullptr;        ///< candidates rejected by the bound
 
   bool tracing(obs::EventKind kind) const noexcept {
     return sink != nullptr && sink->wants(kind);
@@ -55,21 +49,35 @@ struct SlrhTelemetry {
   static SlrhTelemetry resolve(obs::Sink* sink) {
     SlrhTelemetry t;
     t.sink = sink;
-    obs::MetricsRegistry* metrics = sink != nullptr ? sink->metrics() : nullptr;
-    if (metrics != nullptr) {
-      t.pool_build = obs::phase_histogram(metrics, "slrh.pool_build_seconds");
-      t.scoring = obs::phase_histogram(metrics, "slrh.scoring_seconds");
-      t.placement = obs::phase_histogram(metrics, "slrh.placement_seconds");
-      t.earliest_start = obs::phase_histogram(metrics, "slrh.earliest_start_seconds");
-      t.pools = &metrics->counter("slrh.pools_built");
-      t.maps = &metrics->counter("slrh.map_decisions");
-      t.timesteps = &metrics->counter("slrh.timesteps");
-      t.reuse_hits = &metrics->counter("slrh.pool_reuse_hits");
-      t.reuse_misses = &metrics->counter("slrh.pool_reuse_misses");
-      t.probes = &metrics->counter("slrh.placement_probes");
-      t.pruned = &metrics->counter("slrh.probes_pruned");
-    }
+    t.metrics = sink != nullptr ? sink->metrics() : nullptr;
+    t.pool_build = obs::phase_histogram(t.metrics, "slrh.pool_build_seconds");
+    t.scoring = obs::phase_histogram(t.metrics, "slrh.scoring_seconds");
+    t.placement = obs::phase_histogram(t.metrics, "slrh.placement_seconds");
+    t.earliest_start = obs::phase_histogram(t.metrics, "slrh.earliest_start_seconds");
     return t;
+  }
+};
+
+/// The work of one drive_slrh window, counted once. The slrh.* counters and
+/// MappingResult receive the totals when the window ends; a flight-recorder
+/// frame takes the difference across its tick.
+struct SweepTally {
+  std::uint64_t ticks = 0;
+  std::uint64_t scopes_built = 0;    ///< (machine, tick) scopes that built a pool
+  std::uint64_t scopes_skipped = 0;  ///< scopes a cross-tick verdict skipped
+  std::uint64_t pools = 0;           ///< pool builds (V3: several per scope)
+  std::uint64_t maps = 0;            ///< placements committed
+  std::uint64_t probes = 0;          ///< plan_placement calls
+  std::uint64_t pruned = 0;          ///< candidates rejected by the bound
+
+  void publish(obs::MetricsRegistry& metrics) const {
+    metrics.counter("slrh.timesteps").add(ticks);
+    metrics.counter("slrh.pool_reuse_misses").add(scopes_built);
+    metrics.counter("slrh.pool_reuse_hits").add(scopes_skipped);
+    metrics.counter("slrh.pools_built").add(pools);
+    metrics.counter("slrh.map_decisions").add(maps);
+    metrics.counter("slrh.placement_probes").add(probes);
+    metrics.counter("slrh.probes_pruned").add(pruned);
   }
 };
 
@@ -141,14 +149,6 @@ class BeyondHorizonMemo {
   std::uint64_t generation_ = 1;
 };
 
-/// Placement work of one map_first_startable walk: deterministic counts for
-/// the slrh.placement_probes / slrh.probes_pruned counters and the flight
-/// recorder's frames.
-struct ProbeTally {
-  std::uint64_t planned = 0;  ///< plan_placement calls
-  std::uint64_t pruned = 0;   ///< candidates rejected by arrival_lower_bound
-};
-
 /// What a traced map_first_startable call saw: every candidate it examined
 /// (with the rejection reason for the passed-over ones) and, when a commit
 /// happened, the committed placement with its objective-term breakdown.
@@ -168,17 +168,15 @@ struct MapTrace {
 /// (machine, clock) scope. A candidate whose arrival_lower_bound already
 /// lies beyond the horizon is rejected without a plan: the bound never
 /// exceeds the planned arrival, so the plan would reject it too.
-/// `trace` non-null records the decision (telemetry path only).
-/// `committed` non-null receives a copy of the committed plan (task-ledger
-/// and pool-reuse paths).
-/// `tally` non-null counts the plans made and the candidates pruned.
-/// `min_beyond` non-null accumulates (running min) the smallest proven lower
-/// bound on the arrival of every candidate this walk showed beyond the
-/// horizon — the bound for a pruned candidate, the exact arrival for a
-/// planned one. It is the raw material for the cross-tick skip verdicts
-/// (core/sweep.hpp). Memo-skipped candidates were accumulated by the earlier
-/// walk that inserted them; arrivals only move later within a scope, so
-/// those remain valid lower bounds.
+/// `committed` receives the committed plan, and `tally` counts the plans
+/// made and the candidates pruned. `min_beyond` accumulates (running min)
+/// the smallest proven lower bound on the arrival of every candidate this
+/// walk showed beyond the horizon — the bound for a pruned candidate, the
+/// exact arrival for a planned one. It is the raw material for the
+/// cross-tick skip verdicts (core/sweep.hpp). Memo-skipped candidates were
+/// accumulated by the earlier walk that inserted them; arrivals only move
+/// later within a scope, so those remain valid lower bounds. `trace`
+/// non-null records the decision (telemetry path only).
 std::size_t map_first_startable(const workload::Scenario& scenario,
                                 sim::Schedule& schedule, const SlrhParams& params,
                                 const ObjectiveTotals& totals,
@@ -186,11 +184,9 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
                                 MachineId machine, Cycles clock,
                                 const SlrhTelemetry& telemetry,
                                 const ScenarioCache& cache, BeyondHorizonMemo& memo,
-                                std::size_t skip_before = 0,
-                                MapTrace* trace = nullptr,
-                                PlacementPlan* committed = nullptr,
-                                ProbeTally* tally = nullptr,
-                                Cycles* min_beyond = nullptr) {
+                                std::size_t skip_before, PlacementPlan& committed,
+                                SweepTally& tally, Cycles& min_beyond,
+                                MapTrace* trace) {
   obs::ProfileScope placement_scope(telemetry.placement);
   SubPhaseAccumulator earliest_time(telemetry.earliest_start);
   const auto fits = [&](TaskId task, VersionKind version) {
@@ -198,7 +194,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
   };
   const Cycles limit = clock + params.horizon;
   const auto reject_beyond = [&](const SlrhPoolCandidate& cand, Cycles arrival) {
-    if (min_beyond != nullptr && arrival < *min_beyond) *min_beyond = arrival;
+    min_beyond = std::min(min_beyond, arrival);
     memo.insert(cand.task);
     if (trace != nullptr) {
       trace->candidates.push_back(
@@ -249,12 +245,12 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
     const Cycles bound =
         arrival_lower_bound(scenario, schedule, cand.task, machine, clock);
     if (std::max(clock, bound) > limit) {
-      if (tally != nullptr) ++tally->pruned;
+      ++tally.pruned;
       reject_beyond(cand, bound);
       continue;
     }
-    if (tally != nullptr) ++tally->planned;
-    const PlacementPlan plan = earliest_time.time([&] {
+    ++tally.probes;
+    PlacementPlan plan = earliest_time.time([&] {
       return plan_placement(scenario, schedule, cand.task, machine, version, clock);
     });
     if (std::max(clock, plan.arrival) <= limit) {
@@ -270,7 +266,7 @@ std::size_t map_first_startable(const workload::Scenario& scenario,
         trace->candidates.push_back({cand.task, version, cand.score, ""});
       }
       commit_placement(scenario, schedule, plan);
-      if (committed != nullptr) *committed = plan;
+      committed = std::move(plan);
       return k;
     }
     reject_beyond(cand, plan.arrival);
@@ -332,21 +328,21 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   const std::string heuristic_name = params.sink != nullptr || recorder != nullptr
                                          ? to_string(params.variant)
                                          : std::string();
+  SweepTally tally;
 
-  // Flight-recorder per-timestep accumulators (touched only with a recorder
+  // Flight-recorder per-timestep state (touched only with a recorder
   // attached; the null-recorder path never reads a clock). The overhead
   // budget (≤3% with a recorder ATTACHED, see bench_micro_kernels) shapes
   // this path too: step_t0 is set lazily by the tick's first pool build so
   // an idle tick costs no clock read, `scratch` is reused across ticks so
   // frame assembly is allocation-free after the first, and idle ticks are
   // decimated per Options::idle_stride (active ticks are always sampled).
+  // A frame's work counts are the tally minus `tick_start`.
+  SweepTally tick_start;
   double step_t0 = 0.0;
   bool step_timed = false;
   double step_pool_seconds = 0.0;
-  std::uint64_t step_pools = 0;
-  std::uint64_t step_maps = 0;
   std::uint64_t step_last_pool = 0;
-  ProbeTally step_probes;
   std::uint64_t idle_ticks_unsampled = 0;
   std::uint64_t span_countdown = 1;  // countdown, not modulo: no div per build
   const std::uint64_t idle_stride =
@@ -376,9 +372,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
 
   // Cross-tick skip verdicts (core/sweep.hpp). A fresh context per drive
   // window means churn segment boundaries invalidate everything cached.
-  std::optional<SweepContext> sweep;
-  if (params.pool_reuse) sweep.emplace(scenario.num_machines());
-  std::uint64_t step_reused = 0;
+  SweepContext sweep(scenario.num_machines());
 
   const auto make_pool = [&](MachineId machine, Cycles clock) {
     SlrhPoolRejects rejects;
@@ -403,7 +397,6 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         }
         step_pool_seconds += elapsed;
       }
-      ++step_pools;
       step_last_pool = pool.size();
     }
     if (ledger != nullptr) {
@@ -413,8 +406,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         ledger->on_pooled(cand.task, clock, machine);
       }
     }
-    ++result.pools_built;
-    if (telemetry.pools != nullptr) telemetry.pools->add();
+    ++tally.pools;
     if (trace_pools && (!pool.empty() || rejects.any())) {
       obs::Event event;
       event.kind = obs::EventKind::PoolBuilt;
@@ -432,35 +424,22 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   };
 
   // One map attempt; emits a map event on commit, a stall event otherwise.
-  // Every commit is mirrored into the frontier (and the reuse epochs)
+  // Every commit is mirrored into the frontier and the reuse epochs
   // immediately.
   const auto try_map = [&](const std::vector<SlrhPoolCandidate>& pool,
                            MachineId machine, Cycles clock,
-                           std::size_t skip_before, Cycles* min_beyond) {
+                           std::size_t skip_before, Cycles& min_beyond) {
     const bool tracing = trace_maps || trace_stalls;
     MapTrace trace;
     PlacementPlan committed;
-    const bool want_plan = ledger != nullptr || sweep.has_value();
-    const bool count_probes = telemetry.probes != nullptr || recorder != nullptr;
-    ProbeTally tally;
     const std::size_t mapped = map_first_startable(
         scenario, schedule, params, totals, pool, machine, clock, telemetry,
-        *cache, memo, skip_before, tracing ? &trace : nullptr,
-        want_plan ? &committed : nullptr, count_probes ? &tally : nullptr,
-        min_beyond);
-    if (telemetry.probes != nullptr) {
-      telemetry.probes->add(tally.planned);
-      telemetry.pruned->add(tally.pruned);
-    }
-    if (recorder != nullptr) {
-      step_probes.planned += tally.planned;
-      step_probes.pruned += tally.pruned;
-    }
+        *cache, memo, skip_before, committed, tally, min_beyond,
+        tracing ? &trace : nullptr);
     if (mapped != npos) {
       frontier.on_commit(pool[mapped].task);
-      if (sweep.has_value()) sweep->note_commit(committed);
-      if (telemetry.maps != nullptr) telemetry.maps->add();
-      if (recorder != nullptr) ++step_maps;
+      sweep.note_commit(committed);
+      ++tally.maps;
       if (ledger != nullptr) record_placement(*ledger, schedule, committed, clock);
     }
     if (tracing && (mapped != npos ? trace_maps : trace_stalls) &&
@@ -501,12 +480,12 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
     frame.timestep_seconds = step_timed ? now - step_t0 : 0.0;
     frame.pool_build_seconds = step_pool_seconds;
     fill_frame_state(frame, schedule, params.weights, totals, params.aet_sign);
-    frame.pools_built = step_pools;
-    frame.maps = step_maps;
+    frame.pools_built = tally.pools - tick_start.pools;
+    frame.maps = tally.maps - tick_start.maps;
     frame.last_pool_size = step_last_pool;
-    frame.pools_reused = step_reused;
-    frame.probes = step_probes.planned;
-    frame.probes_pruned = step_probes.pruned;
+    frame.pools_reused = tally.scopes_skipped - tick_start.scopes_skipped;
+    frame.probes = tally.probes - tick_start.probes;
+    frame.probes_pruned = tally.pruned - tick_start.pruned;
     frame.frontier_ready = frontier.ready().size();
     frame.frontier_unreleased = frontier.num_unreleased();
     recorder->record(frame);
@@ -515,13 +494,11 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   for (Cycles clock = start_clock;
        !schedule.complete() && clock <= scenario.tau && clock < end_clock;
        clock += params.dt) {
-    ++result.iterations;
-    if (telemetry.timesteps != nullptr) telemetry.timesteps->add();
+    ++tally.ticks;
     if (recorder != nullptr) {
+      tick_start = tally;
       step_pool_seconds = 0.0;
-      step_pools = step_maps = step_last_pool = 0;
-      step_reused = 0;
-      step_probes = ProbeTally{};
+      step_last_pool = 0;
       step_timed = false;
     }
     frontier.advance_to(clock);
@@ -533,17 +510,13 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       // departure; it discovers one at the next timestep like any observer.
       if (!scenario.machine_available(machine, clock)) continue;
       if (schedule.machine_ready(machine) > clock) continue;  // not available
-      if (sweep.has_value()) {
-        // O(1) cross-tick skip: the cached verdict proves this machine's
-        // pool would be built and nothing mapped from it.
-        if (sweep->can_skip(machine, clock, params.horizon, frontier.revision())) {
-          ++result.pools_reused;
-          if (telemetry.reuse_hits != nullptr) telemetry.reuse_hits->add();
-          if (recorder != nullptr) ++step_reused;
-          continue;
-        }
-        if (telemetry.reuse_misses != nullptr) telemetry.reuse_misses->add();
+      // O(1) cross-tick skip: the cached verdict proves this machine's pool
+      // would be built and nothing mapped from it.
+      if (sweep.can_skip(machine, clock, params.horizon, frontier.revision())) {
+        ++tally.scopes_skipped;
+        continue;
       }
+      ++tally.scopes_built;
       memo.begin_scope();
 
       // Scope bookkeeping for the cross-tick verdict: the smallest proven
@@ -552,16 +525,13 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       // planned one), whether the scope committed, and the epochs the LAST
       // pool was built at (a recordable verdict requires that pool to be
       // current — see sweep.hpp).
-      Cycles scope_min_arrival = SweepContext::kNoArrival;
-      Cycles* min_beyond = sweep.has_value() ? &scope_min_arrival : nullptr;
+      Cycles min_beyond = SweepContext::kNoArrival;
       bool scope_committed = false;
       std::uint64_t pool_revision = 0;
       std::uint64_t pool_energy_epoch = 0;
       const auto snapshot_pool_epochs = [&] {
-        if (sweep.has_value()) {
-          pool_revision = frontier.revision();
-          pool_energy_epoch = sweep->energy_epoch(machine);
-        }
+        pool_revision = frontier.revision();
+        pool_energy_epoch = sweep.energy_epoch(machine);
       };
 
       switch (params.variant) {
@@ -605,16 +575,15 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       // commit AND whose last pool is current (no mid-scope commit after it
       // — else commit-enabled children could be missing from it). Variant 2
       // scopes that mapped anything fail the epoch compare by construction.
-      if (sweep.has_value() && !scope_committed &&
-          pool_revision == frontier.revision() &&
-          pool_energy_epoch == sweep->energy_epoch(machine)) {
-        sweep->record_verdict(machine, scope_min_arrival, pool_revision);
+      if (!scope_committed && pool_revision == frontier.revision() &&
+          pool_energy_epoch == sweep.energy_epoch(machine)) {
+        sweep.record_verdict(machine, min_beyond, pool_revision);
       }
     }
     if (recorder != nullptr) {
       // A tick that committed a mapping is always sampled; poll-only and
       // fully idle ticks are decimated (see Options::idle_stride).
-      if (step_maps > 0 || ++idle_ticks_unsampled >= idle_stride) {
+      if (tally.maps > tick_start.maps || ++idle_ticks_unsampled >= idle_stride) {
         record_frame(clock);
         idle_ticks_unsampled = 0;
       }
@@ -629,6 +598,11 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
                                      scenario.num_tasks());
     }
   }
+
+  result.iterations += static_cast<std::size_t>(tally.ticks);
+  result.pools_built += static_cast<std::size_t>(tally.pools);
+  result.pools_reused += static_cast<std::size_t>(tally.scopes_skipped);
+  if (telemetry.metrics != nullptr) tally.publish(*telemetry.metrics);
 }
 
 MappingResult run_slrh(const workload::Scenario& scenario, const SlrhParams& params) {

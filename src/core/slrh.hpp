@@ -94,18 +94,6 @@ struct SlrhParams {
   /// solver does, sharing it read-only across its worker threads).
   const ScenarioCache* cache = nullptr;
 
-  /// Cross-tick pool reuse (core/sweep.hpp): when a (machine, timestep)
-  /// scope ends without a commit, remember the smallest lower bound it
-  /// proved on a beyond-horizon arrival, tagged with the frontier revision
-  /// and the machine's energy epoch; while both epochs stand, a later tick
-  /// whose clock + H stays below that bound skips the machine's pool build
-  /// outright — the sweep would provably commit nothing there. Schedules are
-  /// bit-identical either way (asserted by tests/test_determinism.cpp); only
-  /// pool-build counts and their telemetry differ (MappingResult::
-  /// pools_reused tallies the skipped scopes). Off times the
-  /// rebuild-every-scope sweep.
-  bool pool_reuse = true;
-
   /// Optional per-task degrade mask (not owned; indexed by TaskId). A task
   /// whose entry is non-zero is only ever offered at its secondary version —
   /// the churn driver's "degrade" recovery policy marks re-mapped orphans so
@@ -127,9 +115,12 @@ MappingResult run_slrh(const workload::Scenario& scenario, const SlrhParams& par
 
 /// Low-level driver: advance an EXISTING schedule with the SLRH loop from
 /// start_clock until completion, the scenario's tau (inclusive), or
-/// end_clock (EXCLUSIVE) — whichever comes first. Used by run_slrh (fresh schedule, full window) and by the
-/// dynamic machine-loss extension (replayed schedule, resuming at the loss
-/// time). Updates stats.iterations / stats.pools_built in place.
+/// end_clock (EXCLUSIVE) — whichever comes first. Used by run_slrh (fresh
+/// schedule, full window) and by the churn and machine-loss drivers
+/// (replayed schedule, resuming at the recovery time). Adds the window's
+/// ticks, pools built and scopes skipped via cross-tick pool reuse
+/// (core/sweep.hpp) to stats.iterations / pools_built / pools_reused, and
+/// its totals to the slrh.* counters of params.sink's metrics.
 void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
                 sim::Schedule& schedule, Cycles start_clock, Cycles end_clock,
                 MappingResult& stats);

@@ -12,9 +12,9 @@
 // bookings, so every candidate's arrival stays at or above its recorded
 // bound — a later tick with clock' + H < min_arrival provably maps nothing,
 // and the whole scope collapses to this O(1) test. Skipping a scope that
-// would commit nothing leaves the schedule bit-identical to the
-// rebuild-every-scope sweep; only pool-build counts (and their telemetry)
-// differ.
+// would commit nothing leaves the schedule bit-identical to the reference
+// driver's (tests/oracles), which builds a pool in every scope; only
+// pool-build counts (and their telemetry) differ.
 //
 // Epochs: energy_epoch(m) counts the commits that touched machine m's
 // energy ledger (the executing machine — exec charge, released-parent hold

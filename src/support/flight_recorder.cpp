@@ -166,53 +166,44 @@ void FlightRecorder::write_frames_jsonl(std::ostream& os) const {
 
 Frame frame_from_json(const JsonValue& value) {
   AHG_EXPECTS_MSG(value.is_object(), "frame JSON must be an object");
+  // Keys absent from older recordings (reused, probes, pruned, ...) read as
+  // zero; a present key must carry its type.
   Frame f;
-  f.heuristic = value.get_string("heuristic");
-  f.clock = value.get_int("clock");
-  f.wall_seconds = value.get_double("wall");
-  f.term_t100 = value.get_double("term_t100");
-  f.term_tec = value.get_double("term_tec");
-  f.term_aet = value.get_double("term_aet");
-  f.objective = value.get_double("objective");
-  f.assigned = static_cast<std::uint64_t>(value.get_int("assigned"));
-  f.t100 = static_cast<std::uint64_t>(value.get_int("t100"));
-  f.tec = value.get_double("tec");
-  f.aet = value.get_int("aet");
-  f.pools_built = static_cast<std::uint64_t>(value.get_int("pools"));
-  f.maps = static_cast<std::uint64_t>(value.get_int("maps"));
-  f.last_pool_size = static_cast<std::uint64_t>(value.get_int("pool_size"));
-  // Absent in pre-sweep-accelerator recordings; the getter fallbacks keep
-  // old .frames.jsonl files parseable.
-  f.pools_reused = static_cast<std::uint64_t>(value.get_int("reused"));
-  // Absent in recordings that predate the probe counters.
-  f.probes = static_cast<std::uint64_t>(value.get_int("probes"));
-  f.probes_pruned = static_cast<std::uint64_t>(value.get_int("pruned"));
-  f.frontier_ready = static_cast<std::uint64_t>(value.get_int("ready"));
-  f.frontier_unreleased = static_cast<std::uint64_t>(value.get_int("unreleased"));
-  f.pool_build_seconds = value.get_double("pool_seconds");
-  f.timestep_seconds = value.get_double("step_seconds");
-  f.departures = static_cast<std::uint64_t>(value.get_int("departures"));
-  f.orphaned = static_cast<std::uint64_t>(value.get_int("orphaned"));
-  f.invalidated = static_cast<std::uint64_t>(value.get_int("invalidated"));
-  f.energy_forfeited = value.get_double("energy_forfeited");
-  if (const JsonValue* battery = value.find("battery");
-      battery != nullptr && battery->is_array()) {
-    for (const auto& b : battery->as_array()) {
-      f.battery_fraction.push_back(b.as_double());
-    }
-  }
-  if (const JsonValue* busy = value.find("busy_until");
-      busy != nullptr && busy->is_array()) {
-    for (const auto& b : busy->as_array()) f.busy_until.push_back(b.as_int());
-  }
+  f.heuristic = read_string(value, "heuristic");
+  f.clock = read_int(value, "clock");
+  f.wall_seconds = read_number(value, "wall");
+  f.term_t100 = read_number(value, "term_t100");
+  f.term_tec = read_number(value, "term_tec");
+  f.term_aet = read_number(value, "term_aet");
+  f.objective = read_number(value, "objective");
+  f.assigned = read_count(value, "assigned");
+  f.t100 = read_count(value, "t100");
+  f.tec = read_number(value, "tec");
+  f.aet = read_int(value, "aet");
+  f.pools_built = read_count(value, "pools");
+  f.maps = read_count(value, "maps");
+  f.last_pool_size = read_count(value, "pool_size");
+  f.pools_reused = read_count(value, "reused");
+  f.probes = read_count(value, "probes");
+  f.probes_pruned = read_count(value, "pruned");
+  f.frontier_ready = read_count(value, "ready");
+  f.frontier_unreleased = read_count(value, "unreleased");
+  f.pool_build_seconds = read_number(value, "pool_seconds");
+  f.timestep_seconds = read_number(value, "step_seconds");
+  f.departures = read_count(value, "departures");
+  f.orphaned = read_count(value, "orphaned");
+  f.invalidated = read_count(value, "invalidated");
+  f.energy_forfeited = read_number(value, "energy_forfeited");
+  f.battery_fraction = read_numbers(value, "battery");
+  f.busy_until = read_ints(value, "busy_until");
   return f;
 }
 
 std::vector<Frame> read_frames_jsonl(std::istream& in) {
   std::vector<Frame> frames;
-  for (const JsonValue& line : parse_jsonl(in)) {
+  for_each_jsonl(in, [&](const JsonValue& line) {
     frames.push_back(frame_from_json(line));
-  }
+  });
   return frames;
 }
 

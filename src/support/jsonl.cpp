@@ -492,14 +492,111 @@ class Parser {
 
 JsonValue parse_json(std::string_view text) { return Parser(text).parse(); }
 
+void for_each_jsonl(std::istream& in,
+                    const std::function<void(const JsonValue&)>& visit) {
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    try {
+      visit(parse_json(line));
+    } catch (const PreconditionError& error) {
+      throw PreconditionError("line " + std::to_string(line_no) + ": " + error.what());
+    }
+  }
+}
+
 std::vector<JsonValue> parse_jsonl(std::istream& in) {
   std::vector<JsonValue> records;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    records.push_back(parse_json(line));
-  }
+  for_each_jsonl(in, [&](const JsonValue& record) { records.push_back(record); });
   return records;
+}
+
+// --- strict record fields ----------------------------------------------------
+
+namespace {
+
+[[noreturn]] void bad_field(std::string_view key, const char* expected) {
+  throw PreconditionError("key '" + std::string(key) + "' must be " + expected);
+}
+
+double checked_number(const JsonValue& value, std::string_view key) {
+  if (!value.is_number()) bad_field(key, "a number");
+  return value.as_double();
+}
+
+/// The integral value of a number in [lo, hi]; the bounds are compared as
+/// doubles, so hi = 2^63 - 1 admits nothing at or above 2^63.
+std::int64_t checked_int(const JsonValue& value, std::string_view key,
+                         std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+                         std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  if (!value.is_number()) bad_field(key, "an integer");
+  const double x = value.as_double();
+  if (x != std::floor(x)) bad_field(key, "an integer");
+  if (x < static_cast<double>(lo) || x >= static_cast<double>(hi) + 1.0) {
+    throw PreconditionError("key '" + std::string(key) + "' must be an integer in [" +
+                            std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<std::int64_t>(x);
+}
+
+/// The elements of the array under `key`, each through `check`.
+template <typename T, typename Check>
+std::vector<T> checked_array(const JsonValue& record, std::string_view key,
+                             Check check) {
+  std::vector<T> out;
+  const JsonValue* value = record.find(key);
+  if (value == nullptr) return out;
+  if (!value->is_array()) bad_field(key, "an array");
+  out.reserve(value->as_array().size());
+  for (const JsonValue& element : value->as_array()) out.push_back(check(element, key));
+  return out;
+}
+
+}  // namespace
+
+double read_number(const JsonValue& record, std::string_view key, double fallback) {
+  const JsonValue* value = record.find(key);
+  return value == nullptr ? fallback : checked_number(*value, key);
+}
+
+std::int64_t read_int(const JsonValue& record, std::string_view key,
+                      std::int64_t fallback, std::int64_t lo, std::int64_t hi) {
+  const JsonValue* value = record.find(key);
+  return value == nullptr ? fallback : checked_int(*value, key, lo, hi);
+}
+
+std::uint64_t read_count(const JsonValue& record, std::string_view key,
+                         std::uint64_t fallback) {
+  const JsonValue* value = record.find(key);
+  if (value == nullptr) return fallback;
+  if (!value->is_number()) bad_field(key, "a non-negative integer");
+  const double x = value->as_double();
+  // 2^64 as a double: every double below it fits in a uint64.
+  constexpr double kTwo64 = 18446744073709551616.0;
+  if (x != std::floor(x) || x < 0.0 || x >= kTwo64) {
+    bad_field(key, "a non-negative integer");
+  }
+  return static_cast<std::uint64_t>(x);
+}
+
+std::string read_string(const JsonValue& record, std::string_view key,
+                        std::string fallback) {
+  const JsonValue* value = record.find(key);
+  if (value == nullptr) return fallback;
+  if (!value->is_string()) bad_field(key, "a string");
+  return value->as_string();
+}
+
+std::vector<double> read_numbers(const JsonValue& record, std::string_view key) {
+  return checked_array<double>(record, key, checked_number);
+}
+
+std::vector<std::int64_t> read_ints(const JsonValue& record, std::string_view key) {
+  return checked_array<std::int64_t>(
+      record, key,
+      [](const JsonValue& v, std::string_view k) { return checked_int(v, k); });
 }
 
 }  // namespace ahg::obs

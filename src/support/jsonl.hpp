@@ -14,6 +14,9 @@
 // malformed files from recursing away the stack.
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -122,7 +125,37 @@ class JsonValue {
 /// input (with byte offset in the message).
 JsonValue parse_json(std::string_view text);
 
-/// Parse a JSONL stream: one JSON value per non-empty line.
+/// Parse a JSONL stream: one JSON value per non-empty line. A malformed
+/// line throws a PreconditionError that names it ("line N: ...").
 std::vector<JsonValue> parse_jsonl(std::istream& in);
+
+/// Read a JSONL stream record by record: `visit` receives each parsed
+/// non-blank line. A parse error, or a PreconditionError thrown by `visit`,
+/// is rethrown as a PreconditionError prefixed with "line N: ".
+void for_each_jsonl(std::istream& in,
+                    const std::function<void(const JsonValue&)>& visit);
+
+// --- strict record fields ----------------------------------------------------
+//
+// Typed member lookups for records read back from disk (frames, spans). An
+// absent key yields the fallback, so recordings that predate a field still
+// load; a present key of the wrong type throws a PreconditionError naming
+// the key. read_int also rejects a non-integral number or one outside
+// [lo, hi]; read_count is read_int over [0, 2^64).
+
+double read_number(const JsonValue& record, std::string_view key,
+                   double fallback = 0.0);
+std::int64_t read_int(const JsonValue& record, std::string_view key,
+                      std::int64_t fallback = 0,
+                      std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+                      std::int64_t hi = std::numeric_limits<std::int64_t>::max());
+std::uint64_t read_count(const JsonValue& record, std::string_view key,
+                         std::uint64_t fallback = 0);
+std::string read_string(const JsonValue& record, std::string_view key,
+                        std::string fallback = {});
+/// The array under `key` (empty when absent), each element checked like
+/// read_number / read_int.
+std::vector<double> read_numbers(const JsonValue& record, std::string_view key);
+std::vector<std::int64_t> read_ints(const JsonValue& record, std::string_view key);
 
 }  // namespace ahg::obs

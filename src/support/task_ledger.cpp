@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "support/checked.hpp"
@@ -287,22 +288,29 @@ void TaskLedger::write_spans_jsonl(std::ostream& os) const {
 }
 
 std::vector<TaskSpan> read_task_spans_jsonl(std::istream& in) {
+  constexpr auto kMaxTask = std::numeric_limits<TaskId>::max();
+  constexpr auto kMaxMachine = std::numeric_limits<MachineId>::max();
   std::vector<TaskSpan> out;
-  for (const JsonValue& value : parse_jsonl(in)) {
+  for_each_jsonl(in, [&](const JsonValue& value) {
+    AHG_EXPECTS_MSG(value.is_object(), "span JSON must be an object");
     TaskSpan span;
-    span.task = static_cast<TaskId>(value.get_int("task", kInvalidTask));
-    span.kind = value.get_string("kind", "");
-    span.parent = static_cast<TaskId>(value.get_int("parent", kInvalidTask));
-    span.machine = static_cast<MachineId>(value.get_int("machine", kInvalidMachine));
-    const std::string version = value.get_string("version", "");
+    span.task = static_cast<TaskId>(
+        read_int(value, "task", kInvalidTask, kInvalidTask, kMaxTask));
+    span.kind = read_string(value, "kind");
+    span.parent = static_cast<TaskId>(
+        read_int(value, "parent", kInvalidTask, kInvalidTask, kMaxTask));
+    span.machine = static_cast<MachineId>(
+        read_int(value, "machine", kInvalidMachine, kInvalidMachine, kMaxMachine));
+    const std::string version = read_string(value, "version");
     span.version = version == "primary" ? std::int8_t{0}
                    : version == "secondary" ? std::int8_t{1}
                                             : std::int8_t{-1};
-    span.attempt = static_cast<std::uint32_t>(value.get_int("attempt", 0));
-    span.start = value.get_int("start", 0);
-    span.finish = value.get_int("finish", 0);
+    span.attempt = static_cast<std::uint32_t>(
+        read_int(value, "attempt", 0, 0, std::numeric_limits<std::uint32_t>::max()));
+    span.start = read_int(value, "start");
+    span.finish = read_int(value, "finish");
     out.push_back(std::move(span));
-  }
+  });
   return out;
 }
 

@@ -37,6 +37,23 @@ bool read_field(std::istream& is, T& out) {
   return static_cast<bool>(is >> out);
 }
 
+/// A window's departure: a cycle count or "never" (kNoDeparture).
+struct Departure {
+  Cycles cycles = Scenario::kNoDeparture;
+};
+
+bool read_field(std::istream& is, Departure& out) {
+  std::string token;
+  if (!(is >> token)) return false;
+  if (token == "never") {
+    out.cycles = Scenario::kNoDeparture;
+    return true;
+  }
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, out.cycles);
+  return ec == std::errc{} && ptr == last;
+}
+
 /// Read exactly `fields` from the rest of a line: a missing, malformed or
 /// extra field ("tasks 4 5", "etc 0 0 7.38xyz") fails the line as a whole.
 template <typename... Fields>
@@ -105,6 +122,19 @@ void write_scenario(std::ostream& os, const Scenario& scenario) {
   for (const auto& outage : scenario.link_outages) {
     os << "outage " << outage.machine << ' ' << outage.start << ' '
        << outage.duration << '\n';
+  }
+  // Presence windows: one line per machine that joins late or departs; an
+  // all-default set reads back as "no windows", which behaves the same.
+  for (std::size_t j = 0; j < scenario.machine_windows.size(); ++j) {
+    const Scenario::MachineWindow& w = scenario.machine_windows[j];
+    if (w.join == 0 && w.depart == Scenario::kNoDeparture) continue;
+    os << "window " << j << ' ' << w.join << ' ';
+    if (w.depart == Scenario::kNoDeparture) {
+      os << "never";
+    } else {
+      os << w.depart;
+    }
+    os << '\n';
   }
 }
 
@@ -175,11 +205,13 @@ Scenario read_scenario(std::istream& is) {
     parse_fail(line_no, error.what());
   }
 
-  // --- etc entries, edges, releases, outages ------------------------------------
+  // --- etc entries, edges, releases, outages, windows ---------------------------
   std::vector<EtcLine> etc_lines;
   std::vector<EdgeLine> edge_lines;
   std::vector<std::pair<std::size_t, Cycles>> release_lines;
   std::vector<Scenario::LinkOutage> outages;
+  std::vector<Scenario::MachineWindow> windows;
+  std::vector<char> has_window;
 
   while (next_line(false)) {
     std::istringstream ss(line);
@@ -218,6 +250,22 @@ Scenario read_scenario(std::istream& is) {
       }
       outage.machine = static_cast<MachineId>(machine);
       outages.push_back(outage);
+    } else if (kw == "window") {
+      std::size_t machine = 0;
+      Cycles join = 0;
+      Departure depart;
+      read_fields(ss, line_no, "window <machine> <join> <depart|never>", machine,
+                  join, depart);
+      if (machine >= num_machines || join < 0 || depart.cycles <= join) {
+        parse_fail(line_no, "window out of range");
+      }
+      if (windows.empty()) {
+        windows.assign(num_machines, Scenario::MachineWindow{});
+        has_window.assign(num_machines, 0);
+      }
+      if (has_window[machine] != 0) parse_fail(line_no, "duplicate window");
+      has_window[machine] = 1;
+      windows[machine] = {join, depart.cycles};
     } else {
       parse_fail(line_no, "unknown keyword '" + kw + "'");
     }
@@ -258,7 +306,7 @@ Scenario read_scenario(std::istream& is) {
 
   Scenario scenario{sim::GridConfig(std::move(machines)), std::move(dag),
                     std::move(etc), std::move(data), versions, tau,
-                    std::move(releases), std::move(outages)};
+                    std::move(releases), std::move(outages), std::move(windows)};
   scenario.validate();
   return scenario;
 }

@@ -14,6 +14,13 @@
 //   etc <task> <machine> <seconds>            (one line per entry)
 //   edge <parent> <child> <bits>              (one line per DAG edge)
 //
+// Optional lines, after the versions line:
+//
+//   release <task> <cycles>                   (subtasks released after 0)
+//   outage <machine> <start> <duration>       (one line per link outage)
+//   window <machine> <join> <depart|never>    (machines that join late or
+//                                              depart; at most one each)
+//
 // Numbers are written with enough precision to round-trip doubles exactly.
 
 #include <iosfwd>
@@ -23,7 +30,8 @@
 
 namespace ahg::workload {
 
-/// Serialize a scenario (grid, DAG, ETC, data sizes, versions, tau).
+/// Serialize a scenario (grid, DAG, ETC, data sizes, versions, tau, releases,
+/// link outages and machine presence windows).
 void write_scenario(std::ostream& os, const Scenario& scenario);
 
 /// Parse a scenario; throws PreconditionError with a line-numbered message

@@ -1,6 +1,7 @@
 // Cross-variant determinism: the engine (precomputed tables + ready frontier
 // + batched scoring + beyond-horizon memo + pool reuse) must produce
 // BIT-IDENTICAL schedules to the plain reference driver in tests/oracles —
+// churned runs included —
 // same T100, same AET, same TEC down to the last double bit, same
 // per-subtask placements. The tables and the batch kernel evaluate the exact
 // uncached expressions, so any divergence is a bug, not rounding.
@@ -170,28 +171,6 @@ TEST(Determinism, ChurnOffDriverMatchesPlainSlrh) {
       expect_identical(plain, off.result, scenario, to_string(variant).c_str());
       expect_identical(plain, all_present.result, scenario,
                        to_string(variant).c_str());
-    }
-  }
-}
-
-TEST(Determinism, SlrhRebuildEveryScopeMatchesReferencePoolForPool) {
-  // With pool reuse off the engine builds a pool exactly where the
-  // reference does — the frontier + batched-scoring pool of every scope
-  // must then lead to the scan-built pool's decision, and the pool counts
-  // must agree one for one.
-  for (const auto& scenario : paper_shape_fixtures()) {
-    for (const auto variant :
-         {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
-      core::SlrhParams params;
-      params.variant = variant;
-      params.weights = core::Weights::make(0.6, 0.3);
-      params.pool_reuse = false;
-      const auto reference = oracle::run_slrh_reference(scenario, params);
-      const auto rebuilt = core::run_slrh(scenario, params);
-
-      expect_identical(reference, rebuilt, scenario, to_string(variant).c_str());
-      EXPECT_EQ(rebuilt.pools_built, reference.pools_built);
-      EXPECT_EQ(rebuilt.pools_reused, 0u);
     }
   }
 }
@@ -894,69 +873,95 @@ TEST(Determinism, NeverPresentMachineGetsNoWork) {
 
 // ---------------------------------------------------------------------------
 // Pool reuse: the cross-tick skip verdicts are a pure acceleration of the
-// per-tick machine sweep — they must leave every schedule bit-identical to
-// the rebuild-every-scope sweep, with recorder AND ledger attached (the
-// observers must not be able to tell the difference either).
+// per-tick machine sweep — with recorder AND ledger attached (the observers
+// must not be able to tell the difference either) every schedule stays
+// bit-identical to the reference driver's, churned runs included.
 
-core::SlrhParams serial_sweep_params(core::SlrhVariant variant) {
+core::SlrhParams observed_params(core::SlrhVariant variant) {
   core::SlrhParams params;
   params.variant = variant;
   params.weights = core::Weights::make(0.6, 0.3);
-  params.pool_reuse = false;
   return params;
 }
 
-TEST(Determinism, SlrhPoolReuseMatchesRebuild) {
+TEST(Determinism, SlrhWithObserversMatchesReference) {
   for (const auto& scenario : paper_shape_fixtures()) {
     for (const auto variant :
          {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
-      auto params = serial_sweep_params(variant);
-      const auto serial = core::run_slrh(scenario, params);
+      auto params = observed_params(variant);
+      const auto reference = oracle::run_slrh_reference(scenario, params);
 
       obs::FlightRecorder recorder(obs::FlightRecorder::dense_options());
       obs::TaskLedger ledger(scenario.num_tasks());
       params.recorder = &recorder;
       params.ledger = &ledger;
-      params.pool_reuse = true;
-      const auto reused = core::run_slrh(scenario, params);
+      const auto engine = core::run_slrh(scenario, params);
 
-      expect_identical(serial, reused, scenario, to_string(variant).c_str());
-      // A skipped scope is one the serial path would have built exactly one
-      // pool for and committed nothing from, so the forgone builds are
-      // countable: built + reused must equal the serial build count.
-      EXPECT_EQ(reused.pools_built + reused.pools_reused, serial.pools_built);
-      EXPECT_GT(reused.pools_reused, 0u);
+      expect_identical(reference, engine, scenario, to_string(variant).c_str());
+      // A skipped scope is one the reference built exactly one pool for and
+      // committed nothing from, so the forgone builds are countable.
+      EXPECT_EQ(engine.pools_built + engine.pools_reused, reference.pools_built);
+      EXPECT_EQ(engine.iterations, reference.iterations);
+      EXPECT_GT(engine.pools_reused, 0u);
     }
   }
 }
 
-TEST(Determinism, ChurnPoolReuseMatchesRebuild) {
-  auto scenario = test::small_suite_scenario(sim::GridCase::A, 64, 4242);
-  scenario.machine_windows.assign(scenario.num_machines(),
-                                  workload::Scenario::MachineWindow{});
-  scenario.machine_windows[1].depart = scenario.tau / 8;
-  for (const auto variant : {core::SlrhVariant::V1, core::SlrhVariant::V3}) {
-    auto params = serial_sweep_params(variant);
-    const auto serial = core::run_slrh_with_churn(scenario, params);
-
-    obs::FlightRecorder recorder(obs::FlightRecorder::dense_options());
-    obs::TaskLedger ledger(scenario.num_tasks());
-    params.recorder = &recorder;
-    params.ledger = &ledger;
-    params.pool_reuse = true;
-    const auto reused = core::run_slrh_with_churn(scenario, params);
-
-    EXPECT_GT(serial.departures_processed, 0u);
-    EXPECT_EQ(reused.departures_processed, serial.departures_processed);
-    EXPECT_EQ(reused.orphaned, serial.orphaned);
-    EXPECT_EQ(reused.invalidated, serial.invalidated);
-    EXPECT_EQ(reused.energy_forfeited, serial.energy_forfeited);  // exact
-    expect_identical(serial.result, reused.result, scenario,
-                     to_string(variant).c_str());
-    EXPECT_EQ(reused.result.pools_built + reused.result.pools_reused,
-              serial.result.pools_built);
-    EXPECT_GT(reused.result.pools_reused, 0u);
+/// Churned copies of the paper-shape fixtures: late joins, walk-outs and
+/// battery deaths from workload::generate_machine_churn.
+std::vector<workload::Scenario> churned_fixtures() {
+  workload::ChurnParams churn;
+  churn.departures_per_machine = 1.5;
+  churn.late_join_fraction = 0.3;
+  std::vector<workload::Scenario> fixtures;
+  std::uint64_t seed = 29;
+  for (auto scenario : paper_shape_fixtures()) {
+    scenario.machine_windows =
+        workload::generate_machine_churn(churn, scenario.num_machines(),
+                                         scenario.tau, seed++)
+            .windows;
+    fixtures.push_back(std::move(scenario));
   }
+  return fixtures;
+}
+
+TEST(Determinism, ChurnWithObserversMatchesReference) {
+  std::size_t departures = 0;
+  std::size_t orphaned = 0;
+  for (const auto& scenario : churned_fixtures()) {
+    for (const auto recovery : {core::ChurnRecovery::Remap, core::ChurnRecovery::Degrade}) {
+      for (const auto variant :
+           {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
+        auto params = observed_params(variant);
+        const auto reference =
+            oracle::run_slrh_with_churn_reference(scenario, params, recovery);
+
+        obs::FlightRecorder recorder(obs::FlightRecorder::dense_options());
+        obs::TaskLedger ledger(scenario.num_tasks());
+        params.recorder = &recorder;
+        params.ledger = &ledger;
+        const auto engine = core::run_slrh_with_churn(scenario, params, recovery);
+
+        const std::string label =
+            to_string(variant) + " recovery=" + core::to_string(recovery);
+        SCOPED_TRACE(label);
+        EXPECT_EQ(engine.departures_processed, reference.departures_processed);
+        EXPECT_EQ(engine.orphaned, reference.orphaned);
+        EXPECT_EQ(engine.invalidated, reference.invalidated);
+        EXPECT_EQ(engine.energy_forfeited, reference.energy_forfeited);  // exact
+        expect_identical(reference.result, engine.result, scenario, label.c_str());
+        EXPECT_EQ(engine.result.pools_built + engine.result.pools_reused,
+                  reference.result.pools_built);
+        EXPECT_EQ(engine.result.iterations, reference.result.iterations);
+        EXPECT_GT(engine.result.pools_reused, 0u);
+        departures += reference.departures_processed;
+        orphaned += reference.orphaned;
+      }
+    }
+  }
+  // The draws must actually exercise recovery.
+  EXPECT_GT(departures, 0u);
+  EXPECT_GT(orphaned, 0u);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // SweepContext unit contract (epoch bookkeeping, verdict lifecycle) plus the
 // randomized property test for pool reuse: over random scenarios, seeds and
-// churn, the engine with reuse on and off must produce the schedule of the
-// reference driver (or, under churn, of the rebuild-every-scope sweep), and
+// churn, the engine must produce the schedule of the reference driver, and
 // the epoch scheme must retire verdicts exactly when a commit could have
 // changed a machine's pool.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/churn.hpp"
@@ -142,15 +142,14 @@ TEST(Sweep, ReRecordedVerdictReplacesBoundAndRevision) {
 
 // ---------------------------------------------------------------------------
 // Randomized epoch-invalidation property: across random small scenarios
-// (varying seed, size, grid case, release spread, with and without a mid-run
-// departure) and all three variants, the engine with pool reuse on and off
-// must produce the same schedule as the baseline — the reference driver on
-// churn-free draws, the rebuild-every-scope engine sweep under churn (the
-// reference has no recovery) — with bit-identical assignments, counts and
-// energy, and the reuse ledger must balance (built + reused == baseline
-// builds). This is the test that catches a missing epoch bump: an energy or
-// frontier change the scheme failed to count makes a verdict survive a
-// commit that changed the pool, and the skipped scope diverges.
+// (varying seed, size, grid case, release spread, with and without churn)
+// and all three variants, the engine must produce the reference driver's
+// schedule (tests/oracles; under churn its recovery replay, in both recovery
+// modes) with bit-identical assignments, counts and energy, and the reuse
+// ledger must balance (built + reused == reference builds). This is the
+// test that catches a missing epoch bump: an energy or frontier change the
+// scheme failed to count makes a verdict survive a commit that changed the
+// pool, and the skipped scope diverges.
 
 void expect_identical(const core::MappingResult& baseline,
                       const core::MappingResult& fast,
@@ -178,10 +177,11 @@ void expect_identical(const core::MappingResult& baseline,
   }
 }
 
-TEST(Sweep, RandomizedFlagCombosMatchSerial) {
+TEST(Sweep, RandomizedDrawsMatchReference) {
   SplitMix64 meta_rng(0xA5EEDC0FFEEull);
   const sim::GridCase cases[] = {sim::GridCase::A, sim::GridCase::B,
                                  sim::GridCase::C};
+  std::size_t reused = 0;
   for (int trial = 0; trial < 8; ++trial) {
     const auto grid_case = cases[meta_rng.next() % 3];
     const auto num_tasks = 32 + static_cast<std::size_t>(meta_rng.next() % 3) * 16;
@@ -196,38 +196,43 @@ TEST(Sweep, RandomizedFlagCombosMatchSerial) {
     }
     const bool with_churn = trial % 3 == 0;
     if (with_churn) {
-      scenario.machine_windows.assign(scenario.num_machines(),
-                                      workload::Scenario::MachineWindow{});
-      scenario.machine_windows[1].depart = scenario.tau / 8;
+      workload::ChurnParams churn;
+      churn.departures_per_machine = 2.0;
+      churn.late_join_fraction = 0.25;
+      scenario.machine_windows = workload::generate_machine_churn(
+          churn, scenario.num_machines(), scenario.tau, seed + 31).windows;
+      // Machine 1 always walks out early, so every churned draw orphans work.
+      scenario.machine_windows[1] = {
+          0, std::min(scenario.machine_windows[1].depart, scenario.tau / 8)};
     }
     SCOPED_TRACE("trial " + std::to_string(trial) + " tasks " +
                  std::to_string(num_tasks) + " seed " + std::to_string(seed));
 
     for (const auto variant :
          {core::SlrhVariant::V1, core::SlrhVariant::V2, core::SlrhVariant::V3}) {
-      core::SlrhParams params;
-      params.variant = variant;
-      params.weights = core::Weights::make(0.6, 0.3);
-      params.pool_reuse = false;
-      const auto baseline =
-          with_churn ? core::run_slrh_with_churn(scenario, params).result
-                     : oracle::run_slrh_reference(scenario, params);
-
-      for (const bool reuse : {false, true}) {
-        params.pool_reuse = reuse;
-        const auto fast = core::run_slrh_with_churn(scenario, params).result;
-        const std::string label = core::to_string(variant) + " reuse=" +
-                                  (reuse ? "on" : "off") +
-                                  (with_churn ? " vs rebuild sweep" : " vs reference");
-        expect_identical(baseline, fast, scenario, label.c_str());
-        EXPECT_EQ(fast.pools_built + fast.pools_reused, baseline.pools_built)
+      for (const auto recovery :
+           {core::ChurnRecovery::Remap, core::ChurnRecovery::Degrade}) {
+        if (!with_churn && recovery == core::ChurnRecovery::Degrade) continue;
+        core::SlrhParams params;
+        params.variant = variant;
+        params.weights = core::Weights::make(0.6, 0.3);
+        const auto reference =
+            oracle::run_slrh_with_churn_reference(scenario, params, recovery);
+        const auto engine = core::run_slrh_with_churn(scenario, params, recovery);
+        const std::string label =
+            core::to_string(variant) + " recovery=" + core::to_string(recovery);
+        expect_identical(reference.result, engine.result, scenario, label.c_str());
+        EXPECT_EQ(engine.orphaned, reference.orphaned) << label;
+        EXPECT_EQ(engine.invalidated, reference.invalidated) << label;
+        EXPECT_EQ(engine.result.pools_built + engine.result.pools_reused,
+                  reference.result.pools_built)
             << label;
-        if (!reuse) {
-          EXPECT_EQ(fast.pools_reused, 0u) << label;
-        }
+        EXPECT_EQ(engine.result.iterations, reference.result.iterations) << label;
+        reused += engine.result.pools_reused;
       }
     }
   }
+  EXPECT_GT(reused, 0u);
 }
 
 }  // namespace
