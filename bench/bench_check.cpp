@@ -12,14 +12,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_gate.hpp"
+#include "support/args.hpp"
 #include "support/contract.hpp"
 #include "support/table.hpp"
 
@@ -167,15 +170,26 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Each number is read whole: "abc" and "0.5x" exit 2 naming the flag.
+    const auto number = [&](const char* name) -> double {
+      const char* text = value(name);
+      const std::optional<double> parsed = parse_number_text(text);
+      if (!parsed) {
+        std::cerr << argv[0] << ": " << name << " expects a number, got '" << text
+                  << "'\n";
+        std::exit(2);
+      }
+      return *parsed;
+    };
     if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
     if (arg == "--baselines") {
       baselines_dir = value("--baselines");
     } else if (arg == "--tolerance") {
-      tolerance = std::stod(value("--tolerance"));
+      tolerance = number("--tolerance");
     } else if (arg == "--seconds-tolerance") {
-      seconds_tolerance = std::stod(value("--seconds-tolerance"));
+      seconds_tolerance = number("--seconds-tolerance");
     } else if (arg == "--floor") {
-      floor = std::stod(value("--floor"));
+      floor = number("--floor");
     } else if (arg == "--update") {
       update = true;
     } else if (arg == "--allow-missing") {

@@ -17,6 +17,7 @@
 #include <variant>
 #include <vector>
 
+#include "support/args.hpp"
 #include "support/chrome_trace.hpp"
 #include "support/contract.hpp"
 #include "support/env.hpp"
@@ -74,13 +75,6 @@ inline std::optional<int> handle_bench_flags(int& argc, char** argv,
   BenchFlags& flags = bench_flags();
   int out = 1;  // argv[0] stays
   std::optional<int> exit_code;
-  const auto int_value = [&](int& i, const std::string& name) -> std::optional<long> {
-    if (i + 1 >= argc) {
-      std::cerr << argv[0] << ": " << name << " needs a value\n";
-      return std::nullopt;
-    }
-    return std::strtol(argv[++i], nullptr, 10);
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--version") {
@@ -96,15 +90,20 @@ inline std::optional<int> handle_bench_flags(int& argc, char** argv,
       return 0;
     }
     if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-      std::optional<long> value;
+      std::string text;
       if (arg == "--jobs") {
-        value = int_value(i, "--jobs");
-        if (!value) return 2;
+        if (i + 1 >= argc) {
+          std::cerr << argv[0] << ": --jobs needs a value\n";
+          return 2;
+        }
+        text = argv[++i];
       } else {
-        value = std::strtol(arg.c_str() + 7, nullptr, 10);
+        text = arg.substr(7);
       }
-      if (*value < 0) {
-        std::cerr << argv[0] << ": --jobs must be >= 0\n";
+      const std::optional<std::int64_t> value = parse_int_text(text);
+      if (!value || *value < 0) {
+        std::cerr << argv[0] << ": --jobs expects a non-negative integer, got '"
+                  << text << "'\n";
         return 2;
       }
       flags.jobs = static_cast<std::size_t>(*value);

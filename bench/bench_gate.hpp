@@ -4,19 +4,24 @@
 // A BENCH_<name>.json dump is flattened into a scalar metric map
 // ("counter:NAME", "gauge:NAME", "hist_mean:NAME", "hist_count:NAME") and
 // compared against a committed baseline with per-metric relative tolerances.
-// Wall-clock metrics (any name containing "_seconds") gate in one direction
-// only — getting FASTER is never a regression — and carry a small absolute
-// floor so sub-millisecond sections don't flap on scheduler noise. Everything
+// Wall-clock metrics (any name containing "_seconds") gate upper only —
+// getting FASTER is never a regression — and carry a small absolute floor so
+// sub-millisecond sections don't flap on scheduler noise. Speedups (names
+// containing "_speedup") gate lower only: a speedup that falls is a
+// regression, one that rises (more cores, a faster host) is not. Everything
 // else (counters, ratios, histogram shapes) gates two-sided: a count that
 // silently changes in either direction means the bench measured something
 // different, which is exactly what the gate exists to catch.
 //
 // Baseline files are plain JSON, committed under bench/baselines/, and every
 // field is editable by hand — bump one metric's tolerance without touching
-// the tool.
+// the tool. The reader is strict: a missing "value" or "direction", an
+// unknown direction or key, a negative tolerance or an unknown gate_schema
+// is a PreconditionError naming the metric and the key, never a default.
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <ostream>
 #include <string>
@@ -33,11 +38,17 @@ inline constexpr int kGateSchemaVersion = 1;
 
 enum class GateDirection : std::uint8_t {
   Upper,     ///< regression only when fresh exceeds baseline (wall-clock)
+  Lower,     ///< regression only when fresh falls below baseline (speedups)
   TwoSided,  ///< regression when fresh drifts either way (counts, ratios)
 };
 
 inline const char* to_string(GateDirection d) noexcept {
-  return d == GateDirection::Upper ? "upper" : "two-sided";
+  switch (d) {
+    case GateDirection::Upper: return "upper";
+    case GateDirection::Lower: return "lower";
+    case GateDirection::TwoSided: return "two-sided";
+  }
+  return "?";
 }
 
 /// One gated metric in a baseline file.
@@ -53,10 +64,12 @@ struct GateBaseline {
   std::map<std::string, GateMetric> metrics;
 };
 
-/// Wall-clock metric names gate Upper; everything else TwoSided.
+/// Wall-clock metric names gate Upper, speedups Lower, everything else
+/// TwoSided.
 inline GateDirection default_direction(std::string_view key) noexcept {
-  return key.find("_seconds") != std::string_view::npos ? GateDirection::Upper
-                                                        : GateDirection::TwoSided;
+  if (key.find("_seconds") != std::string_view::npos) return GateDirection::Upper;
+  if (key.find("_speedup") != std::string_view::npos) return GateDirection::Lower;
+  return GateDirection::TwoSided;
 }
 
 /// Flatten a metrics snapshot into the gate's scalar map. Non-finite values
@@ -122,23 +135,98 @@ inline void write_baseline(std::ostream& os, const GateBaseline& baseline) {
   os << json.str() << "\n";
 }
 
-/// Inverse of write_baseline. Throws PreconditionError on a malformed file.
+namespace detail {
+
+/// `record[key]`, which must be present.
+inline const obs::JsonValue& required_field(const obs::JsonValue& record,
+                                            std::string_view key) {
+  const obs::JsonValue* value = record.find(key);
+  if (value == nullptr) {
+    throw PreconditionError("key '" + std::string(key) + "' is required");
+  }
+  return *value;
+}
+
+/// Reject every member of `record` not named in `known` (a typo'd key would
+/// otherwise fall back to a default unnoticed).
+inline void reject_unknown_keys(const obs::JsonValue& record,
+                                std::initializer_list<std::string_view> known) {
+  for (const auto& [key, member] : record.as_object()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw PreconditionError("unknown key '" + key + "'");
+    }
+  }
+}
+
+/// A relative tolerance: a finite, non-negative number.
+inline double read_tolerance(const obs::JsonValue& record, std::string_view key,
+                             double fallback) {
+  const double tolerance = obs::read_number(record, key, fallback);
+  if (!std::isfinite(tolerance) || tolerance < 0.0) {
+    throw PreconditionError("key '" + std::string(key) +
+                            "' must be a finite non-negative number");
+  }
+  return tolerance;
+}
+
+inline GateDirection parse_direction(const obs::JsonValue& entry) {
+  required_field(entry, "direction");
+  const std::string text = obs::read_string(entry, "direction");
+  for (const GateDirection d :
+       {GateDirection::Upper, GateDirection::Lower, GateDirection::TwoSided}) {
+    if (text == to_string(d)) return d;
+  }
+  throw PreconditionError("key 'direction' must be \"upper\", \"lower\" or "
+                          "\"two-sided\", not \"" + text + "\"");
+}
+
+inline GateMetric parse_metric(const obs::JsonValue& entry, double default_tolerance) {
+  if (!entry.is_object()) throw PreconditionError("must be a JSON object");
+  reject_unknown_keys(entry, {"value", "tolerance", "direction"});
+  GateMetric metric;
+  required_field(entry, "value");
+  metric.value = obs::read_number(entry, "value");
+  if (!std::isfinite(metric.value)) {
+    throw PreconditionError("key 'value' must be a finite number");
+  }
+  metric.tolerance = read_tolerance(entry, "tolerance", default_tolerance);
+  metric.direction = parse_direction(entry);
+  return metric;
+}
+
+}  // namespace detail
+
+/// Inverse of write_baseline. Throws PreconditionError on a malformed file,
+/// naming the offending key (and, inside "metrics", the metric).
 inline GateBaseline parse_baseline(const obs::JsonValue& root) {
   AHG_EXPECTS_MSG(root.is_object(), "gate baseline must be a JSON object");
   GateBaseline baseline;
-  baseline.bench = root.get_string("bench");
-  baseline.default_tolerance = root.get_double("default_tolerance", 0.25);
-  const obs::JsonValue* metrics = root.find("metrics");
-  AHG_EXPECTS_MSG(metrics != nullptr && metrics->is_object(),
-                  "gate baseline needs a \"metrics\" object");
-  for (const auto& [key, entry] : metrics->as_object()) {
-    GateMetric metric;
-    metric.value = entry.get_double("value");
-    metric.tolerance = entry.get_double("tolerance", baseline.default_tolerance);
-    metric.direction = entry.get_string("direction") == "upper"
-                           ? GateDirection::Upper
-                           : GateDirection::TwoSided;
-    baseline.metrics.emplace(key, metric);
+  try {
+    detail::reject_unknown_keys(root,
+                                {"bench", "gate_schema", "default_tolerance", "metrics"});
+    detail::required_field(root, "bench");
+    baseline.bench = obs::read_string(root, "bench");
+    detail::required_field(root, "gate_schema");
+    const std::int64_t schema = obs::read_int(root, "gate_schema");
+    if (schema != kGateSchemaVersion) {
+      throw PreconditionError("key 'gate_schema' is " + std::to_string(schema) +
+                              ", this reader knows schema " +
+                              std::to_string(kGateSchemaVersion));
+    }
+    baseline.default_tolerance =
+        detail::read_tolerance(root, "default_tolerance", baseline.default_tolerance);
+    if (!detail::required_field(root, "metrics").is_object()) {
+      throw PreconditionError("key 'metrics' must be a JSON object");
+    }
+  } catch (const PreconditionError& error) {
+    throw PreconditionError(std::string("gate baseline: ") + error.what());
+  }
+  for (const auto& [key, entry] : root.find("metrics")->as_object()) {
+    try {
+      baseline.metrics.emplace(key, detail::parse_metric(entry, baseline.default_tolerance));
+    } catch (const PreconditionError& error) {
+      throw PreconditionError("gate baseline metric '" + key + "': " + error.what());
+    }
   }
   return baseline;
 }
@@ -229,6 +317,11 @@ inline GateResult check_bench(const GateBaseline& baseline,
     const double slack = std::abs(metric.value) * metric.tolerance;
     if (metric.direction == GateDirection::Upper) {
       if (finding.fresh > metric.value + slack + seconds_floor) {
+        finding.verdict = GateVerdict::Regression;
+        ++result.regressions;
+      }
+    } else if (metric.direction == GateDirection::Lower) {
+      if (finding.fresh < metric.value - slack) {
         finding.verdict = GateVerdict::Regression;
         ++result.regressions;
       }

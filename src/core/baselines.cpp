@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/feasibility.hpp"
+#include "core/frontier.hpp"
 #include "core/placement.hpp"
 #include "support/contract.hpp"
 #include "support/rng.hpp"
@@ -17,55 +18,14 @@ namespace ahg::core {
 
 namespace {
 
-/// Shared frontier bookkeeping for the static baselines.
-class Frontier {
- public:
-  explicit Frontier(const workload::Scenario& scenario) {
-    const auto num_tasks = static_cast<TaskId>(scenario.num_tasks());
-    unmapped_parents_.resize(scenario.num_tasks());
-    for (TaskId t = 0; t < num_tasks; ++t) {
-      unmapped_parents_[static_cast<std::size_t>(t)] = scenario.dag.parents(t).size();
-      if (unmapped_parents_[static_cast<std::size_t>(t)] == 0) tasks_.push_back(t);
-    }
-  }
-
-  const std::vector<TaskId>& tasks() const noexcept { return tasks_; }
-  bool empty() const noexcept { return tasks_.empty(); }
-
-  void mark_mapped(const workload::Scenario& scenario, TaskId task) {
-    tasks_.erase(std::find(tasks_.begin(), tasks_.end(), task));
-    for (const TaskId child : scenario.dag.children(task)) {
-      if (--unmapped_parents_[static_cast<std::size_t>(child)] == 0) {
-        tasks_.push_back(child);
-      }
-    }
-    std::sort(tasks_.begin(), tasks_.end());
-  }
-
- private:
-  std::vector<std::size_t> unmapped_parents_;
-  std::vector<TaskId> tasks_;
-};
-
-/// Critical-path deadline budget per task (same rule as Max-Max; see
-/// DESIGN.md §3b.3): longest descendant chain at cheapest secondary cost.
-std::vector<Cycles> deadline_tails(const workload::Scenario& scenario) {
-  const auto num_machines = static_cast<MachineId>(scenario.num_machines());
-  std::vector<Cycles> tail(scenario.num_tasks(), 0);
-  const auto order = scenario.dag.topological_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const TaskId t = *it;
-    Cycles min_exec = std::numeric_limits<Cycles>::max();
-    for (MachineId j = 0; j < num_machines; ++j) {
-      min_exec = std::min(min_exec, scenario.exec_cycles(t, j, VersionKind::Secondary));
-    }
-    for (const TaskId parent : scenario.dag.parents(t)) {
-      tail[static_cast<std::size_t>(parent)] =
-          std::max(tail[static_cast<std::size_t>(parent)],
-                   min_exec + tail[static_cast<std::size_t>(t)]);
-    }
-  }
-  return tail;
+/// The static mappers see every subtask up front: a frontier advanced past
+/// the last release holds exactly the unmapped tasks whose parents are all
+/// mapped, in id order.
+ReadyFrontier static_frontier(const workload::Scenario& scenario,
+                              const sim::Schedule& schedule) {
+  ReadyFrontier frontier(scenario, schedule);
+  frontier.advance_to(std::numeric_limits<Cycles>::max());
+  return frontier;
 }
 
 /// Hole-aware finish estimate (arrival lower bound = latest parent finish).
@@ -134,7 +94,7 @@ MappingResult run_minmin(const workload::Scenario& scenario, const BaselineParam
   auto schedule = make_schedule(scenario);
   const auto tail = deadline_tails(scenario);
   const auto num_machines = static_cast<MachineId>(scenario.num_machines());
-  Frontier frontier(scenario);
+  ReadyFrontier frontier = static_frontier(scenario, *schedule);
   MappingResult result;
 
   std::set<std::pair<TaskId, MachineId>> excluded;
@@ -146,7 +106,7 @@ MappingResult run_minmin(const workload::Scenario& scenario, const BaselineParam
     MachineId best_machine = kInvalidMachine;
     VersionKind best_version = VersionKind::Primary;
     Cycles best_finish = std::numeric_limits<Cycles>::max();
-    for (const TaskId task : frontier.tasks()) {
+    for (const TaskId task : frontier.ready()) {
       for (MachineId machine = 0; machine < num_machines; ++machine) {
         if (excluded.contains({task, machine})) continue;
         const auto version =
@@ -170,7 +130,7 @@ MappingResult run_minmin(const workload::Scenario& scenario, const BaselineParam
       continue;
     }
     excluded.clear();
-    frontier.mark_mapped(scenario, best_task);
+    frontier.on_commit(best_task);
   }
   return finalize_result(scenario, std::move(schedule), timer, std::move(result));
 }
@@ -181,12 +141,12 @@ MappingResult run_olb(const workload::Scenario& scenario, const BaselineParams& 
   auto schedule = make_schedule(scenario);
   const auto tail = deadline_tails(scenario);
   const auto num_machines = static_cast<MachineId>(scenario.num_machines());
-  Frontier frontier(scenario);
+  ReadyFrontier frontier = static_frontier(scenario, *schedule);
   MappingResult result;
 
-  while (!schedule->complete() && !frontier.empty()) {
+  while (!schedule->complete() && !frontier.ready().empty()) {
     ++result.iterations;
-    const TaskId task = frontier.tasks().front();  // deterministic id order
+    const TaskId task = frontier.ready().front();  // deterministic id order
     // Machines by ascending ready time (classic OLB ignores execution time).
     std::vector<MachineId> machines(static_cast<std::size_t>(num_machines));
     for (MachineId j = 0; j < num_machines; ++j) {
@@ -203,7 +163,7 @@ MappingResult run_olb(const workload::Scenario& scenario, const BaselineParams& 
       const auto version = pick_version(scenario, *schedule, params, tail, task, machine);
       if (!version.has_value()) continue;
       if (checked_commit(scenario, *schedule, params, tail, task, machine, *version)) {
-        frontier.mark_mapped(scenario, task);
+        frontier.on_commit(task);
         mapped = true;
         break;
       }
@@ -220,14 +180,14 @@ MappingResult run_random(const workload::Scenario& scenario,
   auto schedule = make_schedule(scenario);
   const auto tail = deadline_tails(scenario);
   const auto num_machines = static_cast<MachineId>(scenario.num_machines());
-  Frontier frontier(scenario);
+  ReadyFrontier frontier = static_frontier(scenario, *schedule);
   Rng rng(params.seed);
   MappingResult result;
 
-  while (!schedule->complete() && !frontier.empty()) {
+  while (!schedule->complete() && !frontier.ready().empty()) {
     ++result.iterations;
     // Random frontier task; random admissible (machine, version).
-    const auto& tasks = frontier.tasks();
+    const auto tasks = frontier.ready();
     const TaskId task = tasks[rng.uniform_below(tasks.size())];
 
     std::vector<std::pair<MachineId, VersionKind>> options;
@@ -243,7 +203,7 @@ MappingResult run_random(const workload::Scenario& scenario,
       const std::size_t pick = rng.uniform_below(options.size());
       const auto [machine, version] = options[pick];
       if (checked_commit(scenario, *schedule, params.base, tail, task, machine, version)) {
-        frontier.mark_mapped(scenario, task);
+        frontier.on_commit(task);
         mapped = true;
         break;
       }

@@ -1,5 +1,8 @@
 #include "core/feasibility.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "core/scenario_cache.hpp"
 #include "sim/comm.hpp"
 
@@ -36,6 +39,25 @@ bool version_fits_energy(const ScenarioCache& cache, const sim::Schedule& schedu
                          TaskId task, MachineId machine, VersionKind version) {
   return cache.energy_need(task, machine, version) <=
          schedule.energy().available(machine) + kEnergyFitEps;
+}
+
+std::vector<Cycles> deadline_tails(const workload::Scenario& scenario) {
+  const auto num_machines = static_cast<MachineId>(scenario.num_machines());
+  std::vector<Cycles> tail(scenario.num_tasks(), 0);
+  const auto order = scenario.dag.topological_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const TaskId t = *it;
+    Cycles min_exec = std::numeric_limits<Cycles>::max();
+    for (MachineId j = 0; j < num_machines; ++j) {
+      min_exec = std::min(min_exec, scenario.exec_cycles(t, j, VersionKind::Secondary));
+    }
+    for (const TaskId parent : scenario.dag.parents(t)) {
+      tail[static_cast<std::size_t>(parent)] =
+          std::max(tail[static_cast<std::size_t>(parent)],
+                   min_exec + tail[static_cast<std::size_t>(t)]);
+    }
+  }
+  return tail;
 }
 
 bool parents_assigned(const workload::Scenario& scenario, const sim::Schedule& schedule,

@@ -9,6 +9,8 @@
 // assesses each version independently (so both versions of the same subtask
 // can sit in the pool simultaneously).
 
+#include <vector>
+
 #include "sim/schedule.hpp"
 #include "support/units.hpp"
 #include "support/version.hpp"
@@ -50,6 +52,13 @@ bool version_fits_energy(const ScenarioCache& cache, const sim::Schedule& schedu
 /// True iff every parent of `task` is already assigned in `schedule`.
 bool parents_assigned(const workload::Scenario& scenario, const sim::Schedule& schedule,
                       TaskId task);
+
+/// Critical-path deadline budget shared by the static mappers (Max-Max and
+/// the baselines; DESIGN.md §4): tail[t] is the cheapest possible execution
+/// of t's longest descendant chain, each descendant at its secondary version
+/// on its fastest machine. A placement of t that finishes after
+/// tau - tail[t] leaves the rest of the DAG uncompletable.
+std::vector<Cycles> deadline_tails(const workload::Scenario& scenario);
 
 /// SLRH pool admission: parents assigned AND the secondary version fits.
 /// Defined as classify_slrh_admission(...) == Admissible — the classifying

@@ -65,9 +65,10 @@ class ReadyFrontier {
 
   /// Monotone counter bumped on every commit and on every ready-list
   /// insertion (releases and commit-unblocked children alike). Two equal
-  /// revisions bracket a window in which the ready set — the
-  /// machine-independent half of pool admission — did not change; the sweep
-  /// accelerator (core/sweep.hpp) tags its cached verdicts with it.
+  /// revisions bracket a window with no commit and no new ready task, so the
+  /// ready set, every energy ledger and every booking are unchanged. It is
+  /// the only signal that retires the SLRH sweep's cached skip verdicts
+  /// (core/sweep.hpp).
   std::uint64_t revision() const noexcept { return revision_; }
 
   std::size_t num_unreleased() const noexcept {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/feasibility.hpp"
+#include "core/frontier.hpp"
 #include "core/placement.hpp"
 #include "core/scenario_cache.hpp"
 #include "core/scoring.hpp"
@@ -54,10 +55,10 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
   auto schedule = make_schedule(scenario);
   const ObjectiveTotals totals = objective_totals(scenario);
 
-  // Precomputed pure-scenario tables (admission energies, execution cycles,
-  // per-task minimum execution cycles). Built by the exact uncached
-  // expressions, so reading them changes no decision; legacy_scan forces the
-  // original on-demand derivations for diff tests.
+  // Precomputed pure-scenario tables (admission energies, execution cycles).
+  // Built by the exact uncached expressions, so reading them changes no
+  // decision; legacy_scan forces the original on-demand derivations for diff
+  // tests.
   std::optional<ScenarioCache> local_cache;
   const ScenarioCache* cache = nullptr;
   if (!params.legacy_scan) {
@@ -88,55 +89,33 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
 
   MappingResult result;
 
-  // Frontier maintenance: tasks whose parents are all mapped but which are
-  // themselves unmapped.
-  std::vector<std::size_t> unmapped_parents(scenario.num_tasks(), 0);
-  std::vector<TaskId> frontier;
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    unmapped_parents[static_cast<std::size_t>(t)] = scenario.dag.parents(t).size();
-    if (unmapped_parents[static_cast<std::size_t>(t)] == 0) frontier.push_back(t);
-  }
+  // The clairvoyant baseline sees every subtask up front: advanced past the
+  // last release, the frontier's ready list is every unmapped task whose
+  // parents are all mapped, in id order.
+  ReadyFrontier frontier(scenario, *schedule);
+  frontier.advance_to(std::numeric_limits<Cycles>::max());
 
   // Task-ledger milestones (clock-free heuristic: transition clocks carry
   // the selection round; releases carry the scenario's real release times —
-  // the clairvoyant baseline sees every subtask up front, at round 0).
+  // every subtask is visible at round 0). The frontier keeps no ledger of
+  // its own: its stamps would carry a clock, not a round.
   obs::TaskLedger* ledger = params.ledger;
   if (ledger != nullptr) {
     for (TaskId t = 0; t < num_tasks; ++t) {
       ledger->on_released(t, scenario.release(t));
     }
-    for (const TaskId t : frontier) ledger->on_frontier_ready(t, 0);
+    for (const TaskId t : frontier.ready()) ledger->on_frontier_ready(t, 0);
   }
 
   // Deadline admission is CRITICAL-PATH AWARE: a candidate may finish no
   // later than tau minus the cheapest possible execution of its longest
-  // descendant chain (each descendant at its secondary version on its
-  // fastest machine — a necessary condition for the rest of the DAG to
-  // remain completable). Without this lookahead, the greedy packs slow
-  // machines with primaries right up to tau and every descendant of those
-  // last placements is strangled; no non-degenerate weight choice can then
-  // produce a complete mapping, contradicting the paper's reported Max-Max
-  // performance (see DESIGN.md §4). tail[i] is precomputed bottom-up.
-  std::vector<Cycles> tail(scenario.num_tasks(), 0);
-  if (params.enforce_tau) {
-    const auto order = scenario.dag.topological_order();
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const TaskId t = *it;
-      Cycles min_exec = std::numeric_limits<Cycles>::max();
-      if (cache != nullptr) {
-        min_exec = cache->min_exec_cycles(t, VersionKind::Secondary);
-      } else {
-        for (MachineId j = 0; j < num_machines; ++j) {
-          min_exec = std::min(min_exec, scenario.exec_cycles(t, j, VersionKind::Secondary));
-        }
-      }
-      for (const TaskId parent : scenario.dag.parents(t)) {
-        tail[static_cast<std::size_t>(parent)] =
-            std::max(tail[static_cast<std::size_t>(parent)],
-                     min_exec + tail[static_cast<std::size_t>(t)]);
-      }
-    }
-  }
+  // descendant chain (deadline_tails). Without this lookahead, the greedy
+  // packs slow machines with primaries right up to tau and every descendant
+  // of those last placements is strangled; no non-degenerate weight choice
+  // can then produce a complete mapping, contradicting the paper's reported
+  // Max-Max performance (see DESIGN.md §4).
+  const std::vector<Cycles> tail =
+      params.enforce_tau ? deadline_tails(scenario) : std::vector<Cycles>{};
 
   // Triplets whose EXACT placement overshot the deadline budget this round
   // (the cheap finish estimate ignores communication delays, so an
@@ -151,12 +130,14 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
     ++result.pools_built;
     if (rounds_counter != nullptr) rounds_counter->add();
     const double round_t0 = recorder != nullptr ? recorder->now_seconds() : 0.0;
-    const auto pool_size = static_cast<std::uint64_t>(frontier.size());
+    const auto pool_size = static_cast<std::uint64_t>(frontier.ready().size());
     if (ledger != nullptr) {
       // The whole frontier IS the candidate pool each round; first sighting
       // only (machine unknown until selection).
       const auto round = static_cast<Cycles>(result.iterations);
-      for (const TaskId t : frontier) ledger->on_pooled(t, round, kInvalidMachine);
+      for (const TaskId t : frontier.ready()) {
+        ledger->on_pooled(t, round, kInvalidMachine);
+      }
     }
 
     Triplet best;
@@ -165,7 +146,7 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
     obs::ProfileScope select_scope(select_hist);
     for (;;) {
       best = Triplet{};
-      for (const TaskId task : frontier) {
+      for (const TaskId task : frontier.ready()) {
         // Data-arrival lower bound: a pure function of the task's (already
         // committed) parents, hoisted out of the machine x version sweep.
         Cycles arrival_lb = scenario.release(task);
@@ -258,7 +239,7 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
       event.terms = {terms.t100, terms.tec, terms.aet, terms.value};
       event.start = best_plan.start;
       event.finish = best_plan.finish();
-      event.pool_size = frontier.size();
+      event.pool_size = frontier.ready().size();
       params.sink->emit(event);
     }
 
@@ -269,17 +250,15 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
                        static_cast<Cycles>(result.iterations));
     }
 
-    // Update the frontier.
-    frontier.erase(std::find(frontier.begin(), frontier.end(), best.task));
-    for (const TaskId child : scenario.dag.children(best.task)) {
-      if (--unmapped_parents[static_cast<std::size_t>(child)] == 0) {
-        frontier.push_back(child);
-        if (ledger != nullptr) {
+    frontier.on_commit(best.task);
+    if (ledger != nullptr) {
+      // A child whose parents are now all assigned just became ready.
+      for (const TaskId child : scenario.dag.children(best.task)) {
+        if (parents_assigned(scenario, *schedule, child)) {
           ledger->on_frontier_ready(child, static_cast<Cycles>(result.iterations));
         }
       }
     }
-    std::sort(frontier.begin(), frontier.end());
 
     if (recorder != nullptr) {
       // One frame per selection round; Max-Max has no simulation clock, so
@@ -297,7 +276,7 @@ MappingResult run_maxmax(const workload::Scenario& scenario, const MaxMaxParams&
       frame.pools_built = 1;
       frame.maps = 1;
       frame.last_pool_size = pool_size;
-      frame.frontier_ready = frontier.size();
+      frame.frontier_ready = frontier.ready().size();
       recorder->record(frame);
     }
   }

@@ -70,10 +70,11 @@ struct MaxMaxParams {
   /// when legacy_scan is set.
   const ScenarioCache* cache = nullptr;
 
-  /// Diff baseline for tests: re-derive admission energies, execution
-  /// cycles, and critical-path tails on demand instead of reading the
-  /// tables. Bit-identical schedules either way (asserted by
-  /// tests/test_determinism.cpp).
+  /// Diff baseline for tests: re-derive admission energies and execution
+  /// cycles on demand instead of reading the tables. Bit-identical schedules
+  /// either way (asserted by tests/test_determinism.cpp). The critical-path
+  /// tails are never table-backed: both paths compute them once per run with
+  /// deadline_tails (core/feasibility.hpp).
   bool legacy_scan = false;
 
   void validate() const { weights.validate(); }

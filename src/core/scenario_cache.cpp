@@ -1,8 +1,5 @@
 #include "core/scenario_cache.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "core/feasibility.hpp"
 #include "support/checked.hpp"
 #include "support/runtime_profiler.hpp"
@@ -17,8 +14,6 @@ ScenarioCache::ScenarioCache(const workload::Scenario& scenario)
   exec_cycles_.resize(cells);
   exec_energy_.resize(cells);
   energy_need_.resize(cells);
-  min_exec_cycles_.assign(checked_mul(num_tasks_, 2, "min_exec_cycles table"),
-                          std::numeric_limits<Cycles>::max());
   primary_compute_energy_.resize(
       checked_mul(num_tasks_, num_machines_, "primary_compute_energy table"));
 
@@ -30,21 +25,11 @@ ScenarioCache::ScenarioCache(const workload::Scenario& scenario)
     fill_column(scenario, static_cast<MachineId>(machine));
   });
 
-  // The per-task tables cost ETC lookups only (no per-entry child walk) and
-  // fan out over tasks. The minimum accumulates over machines in ascending
-  // order — and min over integers is order-independent anyway.
+  // The per-task table costs ETC lookups only (no per-entry child walk) and
+  // fans out over tasks.
   global_pool().parallel_for(0, num_tasks_, [&](std::size_t t) {
     const auto task = static_cast<TaskId>(t);
     for (MachineId machine = 0; machine < num_machines; ++machine) {
-      for (const VersionKind version :
-           {VersionKind::Primary, VersionKind::Secondary}) {
-        const std::size_t m = static_cast<std::size_t>(task) * 2 +
-                              (version == VersionKind::Primary ? 0 : 1);
-        // The exact expression (and operation order) of the uncached path so
-        // lookups are bit-identical to recomputation.
-        min_exec_cycles_[m] = std::min(
-            min_exec_cycles_[m], scenario.exec_cycles(task, machine, version));
-      }
       // This table keeps the task-major layout its consumer (the upper
       // bound's per-task greedy sweep over machines) reads sequentially.
       primary_compute_energy_[static_cast<std::size_t>(task) * num_machines_ +

@@ -61,13 +61,6 @@ class ScenarioCache {
     return energy_need_[index(task, machine, version)];
   }
 
-  /// min over machines of exec_cycles(task, ·, version) — the per-task term
-  /// of Max-Max's critical-path deadline lookahead.
-  Cycles min_exec_cycles(TaskId task, VersionKind version) const {
-    return min_exec_cycles_[static_cast<std::size_t>(task) * 2 +
-                            (version == VersionKind::Primary ? 0 : 1)];
-  }
-
   /// compute_power(machine) * etc.seconds(task, machine): the exact
   /// (un-rounded) primary execution energy the upper bound's greedy
   /// minimum-energy pick evaluates per (task, machine).
@@ -80,13 +73,12 @@ class ScenarioCache {
   /// report it (the benchmark's set-up metrics).
   std::size_t columns_built() const noexcept { return num_machines_; }
 
-  /// Table storage in bytes (all five tables), the memory-telemetry gauge
+  /// Table storage in bytes (all four tables), the memory-telemetry gauge
   /// exported as memory.scenario_cache_bytes.
   std::size_t memory_bound_bytes() const noexcept {
     return exec_cycles_.capacity() * sizeof(Cycles) +
            exec_energy_.capacity() * sizeof(double) +
            energy_need_.capacity() * sizeof(double) +
-           min_exec_cycles_.capacity() * sizeof(Cycles) +
            primary_compute_energy_.capacity() * sizeof(double);
   }
 
@@ -113,7 +105,6 @@ class ScenarioCache {
   std::vector<Cycles> exec_cycles_;             ///< |M| x |T| x 2
   std::vector<double> exec_energy_;             ///< |M| x |T| x 2
   std::vector<double> energy_need_;             ///< |M| x |T| x 2
-  std::vector<Cycles> min_exec_cycles_;         ///< |T| x 2
   std::vector<double> primary_compute_energy_;  ///< |T| x |M|
 };
 

@@ -424,8 +424,7 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
   };
 
   // One map attempt; emits a map event on commit, a stall event otherwise.
-  // Every commit is mirrored into the frontier and the reuse epochs
-  // immediately.
+  // Every commit is mirrored into the frontier immediately.
   const auto try_map = [&](const std::vector<SlrhPoolCandidate>& pool,
                            MachineId machine, Cycles clock,
                            std::size_t skip_before, Cycles& min_beyond) {
@@ -438,7 +437,6 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
         tracing ? &trace : nullptr);
     if (mapped != npos) {
       frontier.on_commit(pool[mapped].task);
-      sweep.note_commit(committed);
       ++tally.maps;
       if (ledger != nullptr) record_placement(*ledger, schedule, committed, clock);
     }
@@ -522,22 +520,13 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       // Scope bookkeeping for the cross-tick verdict: the smallest proven
       // lower bound on a beyond-horizon arrival from any walk (the
       // arrival_lower_bound of a pruned candidate, the exact arrival of a
-      // planned one), whether the scope committed, and the epochs the LAST
-      // pool was built at (a recordable verdict requires that pool to be
-      // current — see sweep.hpp).
+      // planned one) and whether the scope committed.
       Cycles min_beyond = SweepContext::kNoArrival;
       bool scope_committed = false;
-      std::uint64_t pool_revision = 0;
-      std::uint64_t pool_energy_epoch = 0;
-      const auto snapshot_pool_epochs = [&] {
-        pool_revision = frontier.revision();
-        pool_energy_epoch = sweep.energy_epoch(machine);
-      };
 
       switch (params.variant) {
         case SlrhVariant::V1: {
           const auto pool = make_pool(machine, clock);
-          snapshot_pool_epochs();
           if (pool.empty()) break;
           scope_committed = try_map(pool, machine, clock, 0, min_beyond) != npos;
           break;
@@ -546,7 +535,6 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
           // One pool per (machine, timestep); keep assigning pairs from it in
           // score order until exhausted or nothing starts within the horizon.
           const auto pool = make_pool(machine, clock);
-          snapshot_pool_epochs();
           std::size_t next = 0;
           while (next < pool.size()) {
             const std::size_t mapped = try_map(pool, machine, clock, next, min_beyond);
@@ -561,7 +549,6 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
           // the subtask just mapped become admissible immediately.
           for (;;) {
             const auto pool = make_pool(machine, clock);
-            snapshot_pool_epochs();
             if (pool.empty()) break;
             const std::size_t mapped = try_map(pool, machine, clock, 0, min_beyond);
             if (mapped == npos) break;
@@ -572,12 +559,13 @@ void drive_slrh(const workload::Scenario& scenario, const SlrhParams& params,
       }
 
       // Record the cross-tick verdict only for a scope that ended without a
-      // commit AND whose last pool is current (no mid-scope commit after it
-      // — else commit-enabled children could be missing from it). Variant 2
-      // scopes that mapped anything fail the epoch compare by construction.
-      if (!scope_committed && pool_revision == frontier.revision() &&
-          pool_energy_epoch == sweep.energy_epoch(machine)) {
-        sweep.record_verdict(machine, min_beyond, pool_revision);
+      // commit. Its last pool is then at the current revision: only a commit
+      // moves the revision within a tick. A V1/V2 scope that committed walked
+      // a pool that predates the commit. A V3 scope that committed and then
+      // ended on a fresh pool records nothing either; recording it would
+      // move the pool-reuse counters that bench_scale gates exactly.
+      if (!scope_committed) {
+        sweep.record_verdict(machine, min_beyond, frontier.revision());
       }
     }
     if (recorder != nullptr) {

@@ -1,10 +1,28 @@
 #include "support/args.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 
 namespace ahg {
+
+std::optional<std::int64_t> parse_int_text(std::string_view text) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_number_text(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) return std::nullopt;
+  return value;
+}
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -83,18 +101,14 @@ bool ArgParser::parse(int argc, const char* const* argv) {
         value = argv[++i];
       }
       if (opt.kind == Kind::Int) {
-        char* end = nullptr;
-        (void)std::strtoll(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0') {
+        if (!parse_int_text(value)) {
           std::cerr << program_ << ": --" << name << " expects an integer, got '"
                     << value << "'\n";
           error_ = true;
           return false;
         }
       } else if (opt.kind == Kind::Double) {
-        char* end = nullptr;
-        (void)std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0') {
+        if (!parse_number_text(value)) {
           std::cerr << program_ << ": --" << name << " expects a number, got '"
                     << value << "'\n";
           error_ = true;

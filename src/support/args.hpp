@@ -9,11 +9,21 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/contract.hpp"
 
 namespace ahg {
+
+/// The whole of `text` as a decimal integer; nullopt for anything else: an
+/// empty string, whitespace, trailing characters ("4x"), or a value that
+/// overflows int64.
+std::optional<std::int64_t> parse_int_text(std::string_view text);
+
+/// The whole of `text` as a finite number (decimal or exponent form);
+/// nullopt for anything else ("abc", "0.5x", "inf", "nan", overflow).
+std::optional<double> parse_number_text(std::string_view text);
 
 class ArgParser {
  public:

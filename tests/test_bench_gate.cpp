@@ -1,7 +1,8 @@
 // Tests for the bench regression gate (bench/bench_gate.hpp): metric
-// flattening, baseline round-trip, the Upper / TwoSided verdict rules, the
-// seconds floor, and missing-metric handling — the logic CI's bench-gate job
-// leans on via bench_check.
+// flattening, baseline round-trip, the Upper / Lower / TwoSided verdict
+// rules, the seconds floor, missing-metric handling, the strict baseline
+// reader (a per-key mutation sweep) and whole-string number flags — the
+// logic CI's bench-gate job leans on via bench_check.
 
 #include "bench/bench_gate.hpp"
 
@@ -9,9 +10,15 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_common.hpp"
+#include "support/args.hpp"
 #include "support/jsonl.hpp"
 #include "support/metrics.hpp"
 
@@ -60,6 +67,26 @@ TEST(BenchGate, DirectionDefaultsByName) {
             GateDirection::TwoSided);
   EXPECT_EQ(bench::default_direction("gauge:bench.recorder_overhead_ratio"),
             GateDirection::TwoSided);
+  EXPECT_EQ(bench::default_direction("gauge:bench.parallel_speedup"),
+            GateDirection::Lower);
+  EXPECT_EQ(bench::default_direction("gauge:bench.warm_speedup"), GateDirection::Lower);
+}
+
+TEST(BenchGate, LowerDirectionGatesOnlyAFall) {
+  obs::MetricsRegistry registry;
+  registry.gauge("bench.parallel_speedup").set(2.0);
+  const GateBaseline baseline = bench::make_baseline("b", registry.snapshot(), 0.25);
+  ASSERT_EQ(baseline.metrics.at("gauge:bench.parallel_speedup").direction,
+            GateDirection::Lower);
+  const auto check = [&](double fresh) {
+    obs::MetricsRegistry run;
+    run.gauge("bench.parallel_speedup").set(fresh);
+    return bench::check_bench(baseline, run.snapshot()).regressions;
+  };
+  EXPECT_EQ(check(2.0), 0u);
+  EXPECT_EQ(check(1.6), 0u);   // within 25 %
+  EXPECT_EQ(check(40.0), 0u);  // a rise is never a regression
+  EXPECT_EQ(check(1.4), 1u);   // a fall past 25 % is
 }
 
 TEST(BenchGate, BaselineWriteParseRoundTrips) {
@@ -246,6 +273,213 @@ TEST(BenchGate, ParseRejectsMalformedBaselines) {
   EXPECT_THROW(bench::parse_baseline(obs::parse_json("[1]")), PreconditionError);
   EXPECT_THROW(bench::parse_baseline(obs::parse_json(R"({"bench":"b"})")),
                PreconditionError);
+}
+
+// --- strict reader: per-key mutation sweep -----------------------------------
+
+/// Parse `text` as a baseline, expecting a PreconditionError whose message
+/// holds every one of `needles`.
+void expect_rejected(const std::string& text, const std::vector<std::string>& needles) {
+  try {
+    bench::parse_baseline(obs::parse_json(text));
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const PreconditionError& e) {
+    for (const std::string& needle : needles) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "'" << needle << "' missing from: " << e.what();
+    }
+  }
+}
+
+TEST(BenchGate, StrictReaderNamesTheGuessesItUsedToMake) {
+  const std::string metric = R"("counter:c":{"value":1,"tolerance":0.25,"direction":"two-sided"})";
+  const auto file = [](const std::string& metrics) {
+    return R"({"bench":"b","gate_schema":1,"default_tolerance":0.25,"metrics":{)" +
+           metrics + "}}";
+  };
+  // A missing value used to read as 0.
+  expect_rejected(file(R"("counter:c":{"tolerance":0.25,"direction":"upper"})"),
+                  {"'counter:c'", "'value'"});
+  // A wrong-typed tolerance used to fall back to the default.
+  expect_rejected(file(R"("counter:c":{"value":1,"tolerance":"wide","direction":"upper"})"),
+                  {"'counter:c'", "'tolerance'"});
+  // A typo'd direction used to gate two-sided.
+  expect_rejected(file(R"("counter:c":{"value":1,"direction":"uper"})"),
+                  {"'counter:c'", "'direction'", "uper"});
+  expect_rejected(file(R"("counter:c":{"value":1})"), {"'counter:c'", "'direction'"});
+  // The schema used to be written and never read.
+  expect_rejected(R"({"bench":"b","gate_schema":2,"metrics":{)" + metric + "}}",
+                  {"'gate_schema'"});
+  expect_rejected(R"({"bench":"b","metrics":{)" + metric + "}}", {"'gate_schema'"});
+  // Non-finite numbers (JSON text cannot carry them, a built value can).
+  for (const char* key : {"value", "tolerance"}) {
+    obs::JsonValue::Object root = obs::parse_json(file(metric)).as_object();
+    obs::JsonValue::Object metrics = root.at("metrics").as_object();
+    obs::JsonValue::Object entry = metrics.at("counter:c").as_object();
+    entry[key] = obs::JsonValue(std::numeric_limits<double>::infinity());
+    metrics["counter:c"] = obs::JsonValue(entry);
+    root["metrics"] = obs::JsonValue(metrics);
+    try {
+      bench::parse_baseline(obs::JsonValue(root));
+      ADD_FAILURE() << "accepted an infinite " << key;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + std::string(key) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A typo'd key.
+  expect_rejected(file(R"("counter:c":{"value":1,"tolerence":0.5,"direction":"upper"})"),
+                  {"'counter:c'", "'tolerence'"});
+  // An absent tolerance still takes the file's default.
+  const GateBaseline ok = bench::parse_baseline(
+      obs::parse_json(file(R"("counter:c":{"value":3,"direction":"lower"})")));
+  EXPECT_DOUBLE_EQ(ok.metrics.at("counter:c").tolerance, 0.25);
+  EXPECT_EQ(ok.metrics.at("counter:c").direction, GateDirection::Lower);
+}
+
+/// How a key reads each hostile value.
+enum class GateKey { Name, Schema, Tolerance, Value, Direction, Metrics };
+
+TEST(BenchGate, EveryMutatedBaselineKeyIsAcceptedOrRejectedByName) {
+  obs::MetricsRegistry registry;
+  registry.counter("slrh.maps").add(100);
+  registry.gauge("bench.parallel_speedup").set(2.0);
+  registry.gauge("bench.run_seconds").set(0.5);
+  std::ostringstream os;
+  bench::write_baseline(os, bench::make_baseline("b", registry.snapshot(), 0.25, 1.0));
+  const obs::JsonValue root = obs::parse_json(os.str());
+
+  const std::vector<std::pair<std::string, std::optional<obs::JsonValue>>> hostile = {
+      {"absent", std::nullopt},
+      {"-1", obs::JsonValue(-1.0)},
+      {"0", obs::JsonValue(0.0)},
+      {"1", obs::JsonValue(1.0)},
+      {"1.5", obs::JsonValue(1.5)},
+      {"1e300", obs::JsonValue(1e300)},
+      {"\"x\"", obs::JsonValue(std::string("x"))},
+      {"\"uper\"", obs::JsonValue(std::string("uper"))},
+      {"\"lower\"", obs::JsonValue(std::string("lower"))},
+      {"true", obs::JsonValue(true)},
+      {"null", obs::JsonValue()},
+      {"[1.5]", obs::JsonValue(obs::JsonValue::Array{obs::JsonValue(1.5)})},
+      {"{}", obs::JsonValue(obs::JsonValue::Object{})},
+  };
+  const auto must_reject = [](GateKey type, const std::string& label,
+                              const std::optional<obs::JsonValue>& v) {
+    switch (type) {
+      case GateKey::Name: return !v || !v->is_string();
+      case GateKey::Schema: return label != "1";
+      case GateKey::Tolerance:
+        return v && (!v->is_number() || v->as_double() < 0.0);
+      case GateKey::Value: return !v || !v->is_number();
+      case GateKey::Direction: return label != "\"lower\"";
+      case GateKey::Metrics: return !v || !v->is_object();
+    }
+    return true;
+  };
+  // Mutate `key` of `record` in place of the original and parse the result.
+  const auto sweep = [&](const std::string& metric, const std::string& key,
+                         GateKey type) {
+    for (const auto& [label, value] : hostile) {
+      obs::JsonValue::Object top = root.as_object();
+      obs::JsonValue::Object* record = &top;
+      obs::JsonValue::Object metrics;
+      obs::JsonValue::Object entry;
+      if (!metric.empty()) {
+        metrics = top.at("metrics").as_object();
+        entry = metrics.at(metric).as_object();
+        record = &entry;
+      }
+      if (value) {
+        (*record)[key] = *value;
+      } else {
+        record->erase(key);
+      }
+      if (!metric.empty()) {
+        metrics[metric] = obs::JsonValue(entry);
+        top["metrics"] = obs::JsonValue(metrics);
+      }
+      const obs::JsonValue mutated(top);
+      const bool reject = must_reject(type, label, value);
+      try {
+        const GateBaseline parsed = bench::parse_baseline(mutated);
+        EXPECT_FALSE(reject) << "accepted " << metric << " '" << key << "' = " << label;
+        if (type == GateKey::Tolerance && value) {
+          const double got = metric.empty() ? parsed.default_tolerance
+                                            : parsed.metrics.at(metric).tolerance;
+          EXPECT_EQ(got, value->as_double()) << key << " = " << label;
+        }
+      } catch (const PreconditionError& e) {
+        const std::string what = e.what();
+        EXPECT_TRUE(reject) << "rejected " << metric << " '" << key << "' = " << label
+                            << ": " << what;
+        EXPECT_NE(what.find("'" + key + "'"), std::string::npos) << what;
+        if (!metric.empty()) {
+          EXPECT_NE(what.find("'" + metric + "'"), std::string::npos) << what;
+        }
+      }
+    }
+  };
+  const std::map<std::string, GateKey> top_keys = {
+      {"bench", GateKey::Name},
+      {"gate_schema", GateKey::Schema},
+      {"default_tolerance", GateKey::Tolerance},
+      {"metrics", GateKey::Metrics},
+  };
+  EXPECT_EQ(root.as_object().size(), top_keys.size()) << "a top-level key is unswept";
+  for (const auto& [key, type] : top_keys) sweep("", key, type);
+  const std::map<std::string, GateKey> metric_keys = {
+      {"value", GateKey::Value},
+      {"tolerance", GateKey::Tolerance},
+      {"direction", GateKey::Direction},
+  };
+  for (const auto& [metric, entry] : root.find("metrics")->as_object()) {
+    EXPECT_EQ(entry.as_object().size(), metric_keys.size()) << metric;
+    for (const auto& [key, type] : metric_keys) sweep(metric, key, type);
+  }
+}
+
+// --- whole-string number flags -------------------------------------------------
+
+TEST(BenchFlags, NumbersParseOnlyAsAWhole) {
+  EXPECT_EQ(parse_number_text("0.5"), 0.5);
+  EXPECT_EQ(parse_number_text("1e-3"), 1e-3);
+  EXPECT_EQ(parse_number_text("-2"), -2.0);
+  for (const char* bad : {"", "abc", "0.5x", " 0.5", "0.5 ", "inf", "nan", "1e999"}) {
+    EXPECT_EQ(parse_number_text(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_int_text("4"), 4);
+  EXPECT_EQ(parse_int_text("-3"), -3);
+  for (const char* bad : {"", "abc", "4x", "4.0", " 4", "99999999999999999999"}) {
+    EXPECT_EQ(parse_int_text(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
+/// Run handle_bench_flags over `args` (argv[0] included); returns its exit
+/// code (nullopt to continue) and what it printed to stderr.
+std::pair<std::optional<int>, std::string> bench_flags_exit(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  int argc = static_cast<int>(args.size());
+  testing::internal::CaptureStderr();
+  const std::optional<int> code = bench::handle_bench_flags(argc, argv.data());
+  return {code, testing::internal::GetCapturedStderr()};
+}
+
+TEST(BenchFlags, MalformedJobsExitTwoNamingTheFlag) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"bench", "--jobs", "abc"},
+                                             {"bench", "--jobs=4x"},
+                                             {"bench", "--jobs="},
+                                             {"bench", "--jobs", "-1"},
+                                             {"bench", "--jobs"}}) {
+    const auto [code, err] = bench_flags_exit(args);
+    EXPECT_EQ(code, 2) << args.back();
+    EXPECT_NE(err.find("--jobs"), std::string::npos) << err;
+  }
+  EXPECT_EQ(bench::bench_flags().jobs, 0u);  // none of them was taken
 }
 
 }  // namespace

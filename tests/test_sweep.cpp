@@ -1,8 +1,8 @@
-// SweepContext unit contract (epoch bookkeeping, verdict lifecycle) plus the
-// randomized property test for pool reuse: over random scenarios, seeds and
-// churn, the engine must produce the schedule of the reference driver, and
-// the epoch scheme must retire verdicts exactly when a commit could have
-// changed a machine's pool.
+// SweepContext unit contract (verdict lifecycle) plus the randomized property
+// test for pool reuse: over random scenarios, seeds and churn, the engine
+// must produce the schedule of the reference driver, and the frontier
+// revision must retire verdicts whenever a commit could have changed a
+// machine's pool.
 
 #include <gtest/gtest.h>
 
@@ -28,40 +28,6 @@ namespace {
   return true;
 }();
 
-core::PlacementPlan plan_on(MachineId machine,
-                            std::vector<MachineId> senders = {}) {
-  core::PlacementPlan plan;
-  plan.task = 0;
-  plan.machine = machine;
-  for (const MachineId sender : senders) {
-    core::CommPlan comm;
-    comm.parent = 1;
-    comm.from_machine = sender;
-    plan.comms.push_back(comm);
-  }
-  return plan;
-}
-
-TEST(Sweep, NoteCommitBumpsTouchedEnergyEpochs) {
-  core::SweepContext sweep(4);
-  for (MachineId m = 0; m < 4; ++m) EXPECT_EQ(sweep.energy_epoch(m), 0u);
-
-  // Local commit on machine 2: only machine 2's ledger is touched.
-  sweep.note_commit(plan_on(2));
-  EXPECT_EQ(sweep.energy_epoch(2), 1u);
-  EXPECT_EQ(sweep.energy_epoch(0), 0u);
-  EXPECT_EQ(sweep.energy_epoch(1), 0u);
-  EXPECT_EQ(sweep.energy_epoch(3), 0u);
-
-  // Commit on 0 with transfers from 1 and 3: executing machine plus every
-  // sender is bumped; machine 2 is untouched.
-  sweep.note_commit(plan_on(0, {1, 3}));
-  EXPECT_EQ(sweep.energy_epoch(0), 1u);
-  EXPECT_EQ(sweep.energy_epoch(1), 1u);
-  EXPECT_EQ(sweep.energy_epoch(3), 1u);
-  EXPECT_EQ(sweep.energy_epoch(2), 1u);
-}
-
 TEST(Sweep, VerdictSkipsOnlyWhileEpochsStandAndHorizonShort) {
   core::SweepContext sweep(2);
   const Cycles horizon = 100;
@@ -72,7 +38,7 @@ TEST(Sweep, VerdictSkipsOnlyWhileEpochsStandAndHorizonShort) {
   // Scope proved nothing arrives before cycle 500.
   sweep.record_verdict(0, 500, /*frontier_revision=*/7);
 
-  // Same epochs, clock + horizon below the proven arrival: skip.
+  // Same revision, clock + horizon below the proven arrival: skip.
   EXPECT_TRUE(sweep.can_skip(0, 0, horizon, 7));
   EXPECT_TRUE(sweep.can_skip(0, 399, horizon, 7));
   // clock + horizon reaches the arrival: the pool could now map it.
@@ -83,44 +49,11 @@ TEST(Sweep, VerdictSkipsOnlyWhileEpochsStandAndHorizonShort) {
   EXPECT_FALSE(sweep.can_skip(1, 0, horizon, 7));
 }
 
-TEST(Sweep, CommitOnMachineRetiresItsVerdict) {
-  core::SweepContext sweep(3);
-  sweep.record_verdict(0, core::SweepContext::kNoArrival, 3);
-  sweep.record_verdict(1, core::SweepContext::kNoArrival, 3);
-  EXPECT_TRUE(sweep.can_skip(0, 0, 100, 3));
-  EXPECT_TRUE(sweep.can_skip(1, 0, 100, 3));
-
-  // A commit executing on machine 0 with a transfer sent from machine 1
-  // touches both energy ledgers: both verdicts retire, machine 2 would not.
-  sweep.note_commit(plan_on(0, {1}));
-  EXPECT_FALSE(sweep.can_skip(0, 0, 100, 3));
-  EXPECT_FALSE(sweep.can_skip(1, 0, 100, 3));
-
-  // Re-recording at the new epochs makes the verdict live again.
-  sweep.record_verdict(0, core::SweepContext::kNoArrival, 3);
-  EXPECT_TRUE(sweep.can_skip(0, 0, 100, 3));
-}
-
 TEST(Sweep, EmptyPoolVerdictSkipsAtEveryClock) {
   core::SweepContext sweep(1);
   sweep.record_verdict(0, core::SweepContext::kNoArrival, 0);
   EXPECT_TRUE(sweep.can_skip(0, 0, 100, 0));
   EXPECT_TRUE(sweep.can_skip(0, 1'000'000'000, 100, 0));
-}
-
-TEST(Sweep, VerdictSurvivesCommitsOnOtherMachines) {
-  // Energy epochs are per machine: at an unchanged frontier revision, a
-  // commit that touches neither machine 0's nor machine 1's ledger leaves
-  // their verdicts live, while the machines it does touch lose theirs.
-  core::SweepContext sweep(4);
-  sweep.record_verdict(0, 500, 2);
-  sweep.record_verdict(1, 500, 2);
-  sweep.record_verdict(3, 500, 2);
-
-  sweep.note_commit(plan_on(2, {3}));
-  EXPECT_TRUE(sweep.can_skip(0, 0, 100, 2));
-  EXPECT_TRUE(sweep.can_skip(1, 0, 100, 2));
-  EXPECT_FALSE(sweep.can_skip(3, 0, 100, 2));
 }
 
 TEST(Sweep, ReRecordedVerdictReplacesBoundAndRevision) {
@@ -141,14 +74,14 @@ TEST(Sweep, ReRecordedVerdictReplacesBoundAndRevision) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized epoch-invalidation property: across random small scenarios
+// Randomized verdict-invalidation property: across random small scenarios
 // (varying seed, size, grid case, release spread, with and without churn)
 // and all three variants, the engine must produce the reference driver's
 // schedule (tests/oracles; under churn its recovery replay, in both recovery
 // modes) with bit-identical assignments, counts and energy, and the reuse
 // ledger must balance (built + reused == reference builds). This is the
-// test that catches a missing epoch bump: an energy or frontier change the
-// scheme failed to count makes a verdict survive a commit that changed the
+// test that catches a missing revision bump: a commit or ready-set change
+// the frontier failed to count makes a verdict survive a change to the
 // pool, and the skipped scope diverges.
 
 void expect_identical(const core::MappingResult& baseline,
